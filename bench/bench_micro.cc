@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,9 +30,7 @@
 #include "tmerge/core/beta.h"
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
-#include "tmerge/merge/index_support.h"
 #include "tmerge/merge/pair_store.h"
-#include "tmerge/reid/candidate_index.h"
 #include "tmerge/reid/distance_kernels.h"
 #include "tmerge/reid/feature_cache.h"
 #include "tmerge/reid/feature_store.h"
@@ -440,17 +437,6 @@ double NsPerOp(Op&& op, std::int64_t iters) {
          static_cast<double>(iters);
 }
 
-/// One timed invocation, for section ops big enough (milliseconds of
-/// work) that per-call clock overhead is noise; callers alternate sides
-/// and keep the min over a few rounds, like NsPerOp users do.
-template <typename Op>
-double OnceNs(Op&& op) {
-  const auto start = std::chrono::steady_clock::now();
-  op();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(stop - start).count();
-}
-
 /// Peak resident set (VmHWM) in MiB from /proc/self/status, or -1 when
 /// unavailable. Advisory per-section telemetry: the committed baseline
 /// carries no RSS fields, so host differences can never gate CI.
@@ -481,241 +467,11 @@ void ResetPeakRss() {
   std::fclose(clear);
 }
 
-// --- Million-row candidate-index sections (DESIGN.md §15) ---------------
-
-/// (score, row) under the ascending (score, index) total order that
-/// merge::internal::TopKByScore uses for pair ranking.
-using RankedRow = std::pair<double, std::uint32_t>;
-
-/// Top-k smallest (score, index) rows via a k-element max-heap: one pass
-/// over a million scores with O(k) state, sorted ascending on return.
-void TopKRows(const double* scores, const std::uint32_t* indices,
-              std::size_t n, std::size_t k, std::vector<RankedRow>* out) {
-  out->clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const RankedRow cand{scores[i],
-                         indices != nullptr ? indices[i]
-                                            : static_cast<std::uint32_t>(i)};
-    if (out->size() < k) {
-      out->push_back(cand);
-      std::push_heap(out->begin(), out->end());
-    } else if (cand < out->front()) {
-      std::pop_heap(out->begin(), out->end());
-      out->back() = cand;
-      std::push_heap(out->begin(), out->end());
-    }
-  }
-  std::sort(out->begin(), out->end());
-}
-
-/// Million-row fixture shared by the screen and router sections. Rows are
-/// clustered — the shape real embedding sets have, and what the screen
-/// and the centroid router exploit — at a realistic embedding width
-/// (dim 64; the dim-16 fixtures above match SyntheticReidModel instead).
-/// The query is appended as the store's last row so the mirror pass
-/// quantizes it exactly like every candidate.
-constexpr std::size_t kMillionRows = std::size_t{1} << 20;
-constexpr std::size_t kMillionDim = 64;
-constexpr std::size_t kMillionClusters = 64;
-constexpr std::size_t kMillionK = 64;
-constexpr double kMillionScale = 16.0;
-constexpr double kMillionMargin = 1.5;  ///< IndexOptions default.
-
-struct MillionFixture {
-  MillionFixture() {
-    core::Rng rng(61);
-    std::vector<std::vector<double>> centers(
-        kMillionClusters, std::vector<double>(kMillionDim));
-    for (auto& center : centers) {
-      for (double& v : center) v = rng.Normal(0.0, 1.0);
-    }
-    std::vector<double> f(kMillionDim);
-    for (std::size_t r = 0; r < kMillionRows; ++r) {
-      const auto& center = centers[r % kMillionClusters];
-      for (std::size_t i = 0; i < kMillionDim; ++i) {
-        f[i] = center[i] + rng.Normal(0.0, 0.15);
-      }
-      store.Append(f.data(), kMillionDim);
-    }
-    for (std::size_t i = 0; i < kMillionDim; ++i) {
-      f[i] = centers[7][i] + rng.Normal(0.0, 0.15);
-    }
-    query_ref = store.Append(f.data(), kMillionDim);
-    store.EnsureInt8Mirror();
-    rows.reserve(kMillionRows);
-    int8_rows.reserve(kMillionRows);
-    int8_scales.reserve(kMillionRows);
-    errors.reserve(kMillionRows);
-    for (std::size_t r = 0; r < kMillionRows; ++r) {
-      const reid::FeatureRef ref{static_cast<std::uint32_t>(r)};
-      rows.push_back(store.Data(ref));
-      int8_rows.push_back(store.Int8Row(ref));
-      int8_scales.push_back(store.Int8Scale(ref));
-      errors.push_back(store.Int8Error(ref));
-    }
-  }
-
-  reid::FeatureStore store;
-  reid::FeatureRef query_ref;
-  std::vector<const double*> rows;
-  std::vector<const std::int8_t*> int8_rows;
-  std::vector<float> int8_scales;
-  std::vector<float> errors;
-};
-
-/// Headline comparison (§15.2): the PR 5 exact path — SSE2 fp64 full
-/// sweep + batched normalize + top-k — against the quantized screen:
-/// int8 sweep at the session's dispatch level, per-row over-fetch
-/// bounds, ShortlistMask, exact fp64 re-rank of the shortlist only.
-/// Both paths must produce the identical top-k (scores and rows): the
-/// screen changes how fast the top-k is found, never what it contains —
-/// recall 1.0 by construction, not approximation.
-void RunMillionScreenSection(MillionFixture& f) {
-  using reid::kernels::KernelLevel;
-  ResetPeakRss();
-  const double* query = f.store.Data(f.query_ref);
-  const std::int8_t* q8 = f.store.Int8Row(f.query_ref);
-  const float q8_scale = f.store.Int8Scale(f.query_ref);
-  const double h_q = static_cast<double>(f.store.Int8Error(f.query_ref));
-
-  // Per-row screen bound. ScreenBound is affine in the candidate's
-  // reconstruction error, so two anchor evaluations recover slope and
-  // intercept while the formula itself stays owned by index_support.
-  const double bound0 = merge::internal::ScreenBound(
-      h_q, 0.0, kMillionDim, kMillionScale, kMillionMargin);
-  const double bound_slope =
-      merge::internal::ScreenBound(h_q, 1.0, kMillionDim, kMillionScale,
-                                   kMillionMargin) -
-      bound0;
-
-  std::vector<double> sq(kMillionRows);
-  std::vector<double> norm(kMillionRows);
-  std::vector<RankedRow> exact_top, screen_top;
-  auto exact_op = [&] {
-    reid::kernels::OneVsManySquared(query, f.rows.data(), kMillionRows,
-                                    kMillionDim, sq.data());
-    reid::kernels::NormalizedFromSquaredMany(sq.data(), kMillionRows,
-                                             kMillionScale, norm.data());
-    TopKRows(norm.data(), nullptr, kMillionRows, kMillionK, &exact_top);
-  };
-
-  std::vector<float> approx32(kMillionRows);
-  std::vector<double> approx(kMillionRows);
-  std::vector<double> bound(kMillionRows);
-  std::vector<std::uint32_t> short_idx;
-  std::vector<const double*> short_rows;
-  std::vector<double> short_sq;
-  auto screen_op = [&] {
-    reid::kernels::Int8OneVsManySquared(q8, q8_scale, f.int8_rows.data(),
-                                        f.int8_scales.data(), kMillionRows,
-                                        kMillionDim, approx32.data());
-    for (std::size_t i = 0; i < kMillionRows; ++i) {
-      approx[i] = static_cast<double>(approx32[i]);
-      bound[i] = bound0 + bound_slope * static_cast<double>(f.errors[i]);
-    }
-    reid::kernels::NormalizedFromSquaredMany(approx.data(), kMillionRows,
-                                             kMillionScale, approx.data());
-    const std::vector<char> mask =
-        merge::internal::ShortlistMask(approx, bound, kMillionK);
-    short_idx.clear();
-    short_rows.clear();
-    for (std::size_t i = 0; i < kMillionRows; ++i) {
-      if (mask[i] != 0) {
-        short_idx.push_back(static_cast<std::uint32_t>(i));
-        short_rows.push_back(f.rows[i]);
-      }
-    }
-    short_sq.resize(short_idx.size());
-    reid::kernels::OneVsManySquared(query, short_rows.data(),
-                                    short_rows.size(), kMillionDim,
-                                    short_sq.data());
-    reid::kernels::NormalizedFromSquaredMany(
-        short_sq.data(), short_sq.size(), kMillionScale, short_sq.data());
-    TopKRows(short_sq.data(), short_idx.data(), short_idx.size(), kMillionK,
-             &screen_top);
-  };
-
-  const double kInf = std::numeric_limits<double>::infinity();
-  const KernelLevel session_level = reid::kernels::CurrentKernelLevel();
-  double exact_ns = kInf;
-  double screen_ns = kInf;
-  for (int r = 0; r < 5; ++r) {
-    // The exact side pins SSE2 — the best tier PR 5 had — even on AVX
-    // hosts; the screen side runs at the session's dispatch level. The
-    // fp64 kernels return identical bits at every level, so the pin
-    // changes only the timing, never the ranking being compared.
-    reid::kernels::SetKernelLevel(KernelLevel::kSse2);
-    exact_ns = std::min(exact_ns, OnceNs(exact_op));
-    reid::kernels::SetKernelLevel(session_level);
-    screen_ns = std::min(screen_ns, OnceNs(screen_op));
-  }
-
-  TMERGE_CHECK(exact_top.size() == screen_top.size());
-  for (std::size_t i = 0; i < exact_top.size(); ++i) {
-    TMERGE_CHECK(exact_top[i] == screen_top[i]);
-  }
-  bench::EmitBenchJson(
-      "micro_million_screen",
-      {{"rows", static_cast<double>(kMillionRows)},
-       {"dim", static_cast<double>(kMillionDim)},
-       {"k", static_cast<double>(kMillionK)},
-       {"exact_sse2_ns", exact_ns},
-       {"screen_rerank_ns", screen_ns},
-       {"speedup", exact_ns / screen_ns},
-       {"shortlist_rows", static_cast<double>(short_idx.size())},
-       {"exact_topk_preserved", 1.0},
-       {"peak_rss_mb", PeakRssMb()}});
-}
-
-/// Coarse cluster router over the same million rows (§15.3): one
-/// from-scratch build (sampled Lloyd + full assignment — the per-video
-/// amortized cost) and the per-query probe NearestClusters performs.
-void RunMillionRouterSection(MillionFixture& f) {
-  ResetPeakRss();
-  const double kInf = std::numeric_limits<double>::infinity();
-  reid::ClusterIndexOptions options;
-  reid::CoarseClusterIndex index(options);
-  double build_ns = kInf;
-  for (int r = 0; r < 2; ++r) {
-    index.Clear();
-    build_ns = std::min(build_ns, OnceNs([&] { index.Ensure(f.store); }));
-  }
-  TMERGE_CHECK(index.built());
-
-  const reid::FeatureView query(f.store.Data(f.query_ref), kMillionDim);
-  constexpr std::int32_t kProbes = 8;  // IndexOptions default.
-  std::vector<std::int32_t> probed;
-  double route_ns = kInf;
-  for (int r = 0; r < 5; ++r) {
-    route_ns = std::min(route_ns, NsPerOp(
-                                      [&] {
-                                        index.NearestClusters(query, kProbes,
-                                                              &probed);
-                                        benchmark::DoNotOptimize(
-                                            probed.data());
-                                      },
-                                      2000));
-  }
-  TMERGE_CHECK(static_cast<std::int32_t>(probed.size()) == kProbes);
-  bench::EmitBenchJson(
-      "micro_million_router",
-      {{"rows", static_cast<double>(index.assigned_rows())},
-       {"clusters", static_cast<double>(index.num_clusters())},
-       {"probes", static_cast<double>(kProbes)},
-       {"build_ns", build_ns},
-       {"route_ns", route_ns},
-       {"probed_fraction", static_cast<double>(kProbes) /
-                               static_cast<double>(index.num_clusters())},
-       {"peak_rss_mb", PeakRssMb()}});
-}
-
-/// Per-dispatch-level timing of the exact one-vs-many sweep, with the
-/// cross-level bit-identity contract checked on the shipping binary: every
-/// level's output must equal the scalar reference byte for byte. The
-/// quantized kernels ride along at the session's level, checked the same
-/// way against their scalar-level bits.
-void RunKernelLevelSection() {
-  using reid::kernels::KernelLevel;
+/// The exact one-vs-many sweep (kernel + normalize epilogue) timed on the
+/// scalar reference and on the SSE2 path, with the bit-identity contract
+/// checked on the shipping binary: the SSE2 output must equal the scalar
+/// reference byte for byte.
+void RunKernelSweepSection() {
   ResetPeakRss();
   constexpr std::size_t kRows = 4096;
   const double kInf = std::numeric_limits<double>::infinity();
@@ -728,27 +484,13 @@ void RunKernelLevelSection() {
       store.Append(f.data(), kDim);
     }
   }
-  const reid::FeatureRef query_ref{static_cast<std::uint32_t>(kRows)};
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
   std::vector<const double*> rows(kRows);
-  std::vector<const std::int8_t*> int8_rows(kRows);
-  std::vector<float> int8_scales(kRows);
-  std::vector<const std::uint16_t*> fp16_rows(kRows);
   for (std::size_t r = 0; r < kRows; ++r) {
-    const reid::FeatureRef ref{static_cast<std::uint32_t>(r)};
-    rows[r] = store.Data(ref);
-    int8_rows[r] = store.Int8Row(ref);
-    int8_scales[r] = store.Int8Scale(ref);
-    fp16_rows[r] = store.Fp16Row(ref);
+    rows[r] = store.Data(reid::FeatureRef{static_cast<std::uint32_t>(r)});
   }
-  const double* query = store.Data(query_ref);
-  const std::int8_t* q8 = store.Int8Row(query_ref);
-  const float q8_scale = store.Int8Scale(query_ref);
-  const std::uint16_t* q16 = store.Fp16Row(query_ref);
+  const double* query =
+      store.Data(reid::FeatureRef{static_cast<std::uint32_t>(kRows)});
 
-  std::vector<double> reference(kRows), out(kRows);
-  std::vector<float> ref8(kRows), out8(kRows), ref16(kRows), out16(kRows);
   auto sweep = [&](std::vector<double>& dst) {
     reid::kernels::OneVsManySquared(query, rows.data(), kRows, kDim,
                                     dst.data());
@@ -756,57 +498,26 @@ void RunKernelLevelSection() {
                                              dst.data());
     benchmark::DoNotOptimize(dst.data());
   };
-  auto int8_sweep = [&](std::vector<float>& dst) {
-    reid::kernels::Int8OneVsManySquared(q8, q8_scale, int8_rows.data(),
-                                        int8_scales.data(), kRows, kDim,
-                                        dst.data());
-    benchmark::DoNotOptimize(dst.data());
-  };
-  auto fp16_sweep = [&](std::vector<float>& dst) {
-    reid::kernels::Fp16OneVsManySquared(q16, fp16_rows.data(), kRows, kDim,
-                                        dst.data());
-    benchmark::DoNotOptimize(dst.data());
-  };
-
-  const KernelLevel session_level = reid::kernels::CurrentKernelLevel();
-  reid::kernels::SetKernelLevel(KernelLevel::kScalar);
-  sweep(reference);
-  int8_sweep(ref8);
-  fp16_sweep(ref16);
-
-  std::vector<std::pair<std::string, double>> fields = {
-      {"rows", static_cast<double>(kRows)},
-      {"dim", static_cast<double>(kDim)}};
-  for (KernelLevel level : reid::kernels::SupportedKernelLevels()) {
-    TMERGE_CHECK(reid::kernels::SetKernelLevel(level));
-    sweep(out);
-    TMERGE_CHECK(std::memcmp(out.data(), reference.data(),
-                             kRows * sizeof(double)) == 0);
+  auto time_sweep = [&](bool scalar, std::vector<double>& dst) {
+    ScopedKernelMode mode(scalar);
+    sweep(dst);
     double ns = kInf;
     for (int r = 0; r < 5; ++r) {
-      ns = std::min(ns, NsPerOp([&] { sweep(out); }, 200));
+      ns = std::min(ns, NsPerOp([&] { sweep(dst); }, 200));
     }
-    fields.emplace_back(
-        std::string(reid::kernels::KernelLevelName(level)) + "_ns", ns);
-  }
-
-  reid::kernels::SetKernelLevel(session_level);
-  int8_sweep(out8);
-  TMERGE_CHECK(std::memcmp(out8.data(), ref8.data(),
-                           kRows * sizeof(float)) == 0);
-  fp16_sweep(out16);
-  TMERGE_CHECK(std::memcmp(out16.data(), ref16.data(),
-                           kRows * sizeof(float)) == 0);
-  double int8_ns = kInf;
-  double fp16_ns = kInf;
-  for (int r = 0; r < 5; ++r) {
-    int8_ns = std::min(int8_ns, NsPerOp([&] { int8_sweep(out8); }, 200));
-    fp16_ns = std::min(fp16_ns, NsPerOp([&] { fp16_sweep(out16); }, 200));
-  }
-  fields.emplace_back("int8_ns", int8_ns);
-  fields.emplace_back("fp16_ns", fp16_ns);
-  fields.emplace_back("peak_rss_mb", PeakRssMb());
-  bench::EmitBenchJson("micro_kernel_levels", fields);
+    return ns;
+  };
+  std::vector<double> reference(kRows), out(kRows);
+  const double scalar_ns = time_sweep(/*scalar=*/true, reference);
+  const double sse2_ns = time_sweep(/*scalar=*/false, out);
+  TMERGE_CHECK(std::memcmp(out.data(), reference.data(),
+                           kRows * sizeof(double)) == 0);
+  bench::EmitBenchJson("micro_kernel_levels",
+                       {{"rows", static_cast<double>(kRows)},
+                        {"dim", static_cast<double>(kDim)},
+                        {"scalar_ns", scalar_ns},
+                        {"sse2_ns", sse2_ns},
+                        {"peak_rss_mb", PeakRssMb()}});
 }
 
 /// The CI perf-smoke entry point: times the seed vs slab comparison
@@ -868,10 +579,7 @@ void RunJsonBenches() {
                         {"speedup", map_lookup_ns / index_lookup_ns},
                         {"peak_rss_mb", PeakRssMb()}});
 
-  RunKernelLevelSection();
-  MillionFixture million;
-  RunMillionScreenSection(million);
-  RunMillionRouterSection(million);
+  RunKernelSweepSection();
 }
 
 }  // namespace

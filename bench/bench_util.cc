@@ -15,7 +15,6 @@
 #include "tmerge/obs/metrics.h"
 #include "tmerge/obs/trace.h"
 #include "tmerge/merge/baseline.h"
-#include "tmerge/reid/distance_kernels.h"
 #include "tmerge/merge/lcb.h"
 #include "tmerge/merge/proportional.h"
 #include "tmerge/merge/tmerge.h"
@@ -139,27 +138,6 @@ bool InitTraceFromEnv() {
   return false;
 }
 
-void InitKernelsFromEnv() {
-  const char* env = std::getenv("TMERGE_SCALAR_KERNELS");
-  if (env == nullptr || *env == '\0') return;
-  if (std::strcmp(env, "1") == 0) {
-    reid::kernels::SetUseScalarKernels(true);
-    return;
-  }
-  if (std::strcmp(env, "0") == 0) {
-    reid::kernels::SetUseScalarKernels(false);
-    return;
-  }
-  // Strict on purpose (TMERGE_OBS policy): a typo must never silently
-  // decide which kernel tier a perf run measures.
-  std::fprintf(stderr,
-               "bench: ignoring invalid TMERGE_SCALAR_KERNELS=\"%s\" "
-               "(want 0 or 1); keeping the %s kernels\n",
-               env,
-               reid::kernels::KernelLevelName(
-                   reid::kernels::CurrentKernelLevel()));
-}
-
 std::string TraceOutputPath(const std::string& fallback) {
   const char* env = std::getenv("TMERGE_TRACE_OUT");
   if (env == nullptr || *env == '\0') return fallback;
@@ -215,7 +193,6 @@ BenchEnv PrepareEnvWithWindow(sim::DatasetProfile profile,
   InitObsFromEnv();
   InitFaultFromEnv();
   InitTraceFromEnv();
-  InitKernelsFromEnv();
   BenchEnv env;
   env.name = sim::DatasetProfileName(profile);
   env.dataset = std::make_unique<sim::Dataset>(

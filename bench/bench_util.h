@@ -68,16 +68,6 @@ void InitFaultFromEnv();
 /// Returns whether recording ended up on. Called by PrepareEnv*.
 bool InitTraceFromEnv();
 
-/// Applies the TMERGE_SCALAR_KERNELS environment variable to the kernel
-/// dispatcher (reid/distance_kernels.h): "1" pins the scalar reference
-/// kernels, "0" restores the session default (detected best level or the
-/// TMERGE_KERNEL_LEVEL override), unset leaves the dispatcher alone.
-/// Results are bit-identical either way — only wall-clock changes — but a
-/// perf bench must still never measure the wrong tier because of a typo,
-/// so parsing is strict like the other TMERGE_* knobs: junk warns on
-/// stderr and changes nothing. Called by PrepareEnv*.
-void InitKernelsFromEnv();
-
 /// The path benches write Chrome-trace JSON to: TMERGE_TRACE_OUT when set
 /// and non-empty, otherwise `fallback`.
 std::string TraceOutputPath(const std::string& fallback);

@@ -8,7 +8,6 @@
 
 #include "tmerge/core/mutex.h"
 #include "tmerge/core/sim_clock.h"
-#include "tmerge/merge/index_support.h"
 #include "tmerge/reid/distance_kernels.h"
 
 namespace tmerge::merge {
@@ -27,23 +26,9 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
   // across worker threads, so members must stay read-only during Select.
   std::vector<double> scores(num_pairs, 0.0);
 
-  // Cluster router (§15.3): routed-out pairs keep score 1.0 and are never
-  // embedded or evaluated. BL stays on the infallible embed path, so a
-  // representative embed always succeeds.
-  const internal::RouterOutcome routing = internal::RoutePairs(
-      context, cache, options.index, [&](const reid::CropRef& crop) {
-        cache.GetOrEmbed(crop, model, meter);
-        return true;
-      });
-  result.routed_out_pairs = routing.routed_out;
-  for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (!routing.Admitted(p)) scores[p] = 1.0;
-  }
-
-  // Embed every involved crop of the admitted pairs, gathering raw arena
-  // pointers for the one-vs-many kernel. Batched mode groups `batch_size`
-  // track pairs per GPU call (the paper's B = track pairs jointly
-  // evaluated).
+  // Embed every involved crop, gathering raw arena pointers for the
+  // one-vs-many kernel. Batched mode groups `batch_size` track pairs per
+  // GPU call (the paper's B = track pairs jointly evaluated).
   auto embed_track = [&](const std::vector<reid::CropRef>& crops,
                          std::vector<const double*>& out) {
     out.clear();
@@ -56,7 +41,6 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
                                   std::size_t last_pair) {
     std::vector<reid::CropRef> crops;
     for (std::size_t p = first_pair; p < last_pair; ++p) {
-      if (!routing.Admitted(p)) continue;
       const auto& crops_a = context.CropsA(p);
       const auto& crops_b = context.CropsB(p);
       crops.insert(crops.end(), crops_a.begin(), crops_a.end());
@@ -72,141 +56,41 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
   const std::size_t dim = model.feature_dim();
   const double scale = model.normalization_scale();
 
-  // One kernel sweep per fa, the batched normalize epilogue in place, then
-  // a scalar sum in the same fa-outer / fb-inner order as pairwise
-  // NormalizedDistance — bit-identical by construction
-  // (reid/distance_kernels.h). Shared verbatim by the unscreened sweep and
-  // the screened re-rank so both produce the same doubles.
-  auto exact_sum = [&]() {
-    row.resize(features_b.size());
-    double sum = 0.0;
-    for (const double* fa : features_a) {
-      reid::kernels::OneVsManySquared(fa, features_b.data(),
-                                      features_b.size(), dim, row.data());
-      reid::kernels::NormalizedFromSquaredMany(row.data(), features_b.size(),
-                                               scale, row.data());
-      for (std::size_t j = 0; j < features_b.size(); ++j) {
-        sum += row[j];
-      }
-    }
-    return sum;
-  };
-  auto charge_pair = [&](std::int64_t count) {
-    if (batched) {
-      meter.ChargeDistanceBatched(count);
-    } else {
-      meter.ChargeDistance(count);
-    }
-    result.box_pairs_evaluated += count;
-  };
-
   std::size_t chunk = batched ? static_cast<std::size_t>(options.batch_size)
                               : num_pairs;
   if (chunk == 0) chunk = 1;
 
-  if (options.index.screen) {
-    // Two-phase sweep (§15.2). Phase 1: embed in the unscreened order,
-    // keeping arena handles for the mirror gather and the exact re-rank.
-    // Each pair's distance charge is assessed right here, where the
-    // unscreened sweep would have charged it: the meter's clock is a
-    // running double sum, so only the identical charge *order* keeps
-    // simulated_seconds bit-identical (the screened-vs-exact differential
-    // suite pins this).
-    std::vector<std::vector<reid::FeatureRef>> refs_a(num_pairs);
-    std::vector<std::vector<reid::FeatureRef>> refs_b(num_pairs);
-    auto embed_track_refs = [&](const std::vector<reid::CropRef>& crops,
-                                std::vector<reid::FeatureRef>& out) {
-      out.clear();
-      out.reserve(crops.size());
-      for (const auto& crop : crops) {
-        cache.GetOrEmbed(crop, model, meter);
-        out.push_back(cache.Find(crop.detection_id));
-      }
-    };
-    for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, num_pairs);
-      if (batched) embed_tracks_batched(begin, end);
-      for (std::size_t p = begin; p < end; ++p) {
-        if (!routing.Admitted(p)) continue;
-        embed_track_refs(context.CropsA(p), refs_a[p]);
-        embed_track_refs(context.CropsB(p), refs_b[p]);
-        charge_pair(
-            static_cast<std::int64_t>(refs_a[p].size() * refs_b[p].size()));
-      }
-    }
+  for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, num_pairs);
+    if (batched) embed_tracks_batched(begin, end);
 
-    // Phase 2: quantized screen over the compact mirror slabs (all
-    // charges were assessed in phase 1).
-    const ScreenPrecision precision = options.index.screen_precision;
-    internal::EnsureMirror(cache.mutable_store(), precision);
-    std::vector<double> approx(num_pairs, 1.0);
-    std::vector<double> bound(num_pairs, 0.0);
-    internal::ScreenTrack track_a, track_b;
-    std::vector<float> scratch;
-    std::int64_t mirror_rows = 0;
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (!routing.Admitted(p)) continue;
-      internal::GatherScreenTrack(cache.store(), refs_a[p], precision,
-                                  &track_a);
-      internal::GatherScreenTrack(cache.store(), refs_b[p], precision,
-                                  &track_b);
-      const auto count =
-          static_cast<std::int64_t>(track_a.size() * track_b.size());
-      ++result.screened_pairs;
-      mirror_rows += static_cast<std::int64_t>(track_a.size() +
-                                               track_b.size());
-      // An empty side scores 1.0 exactly in both sweeps: bound 0 is right.
-      if (count == 0) continue;
-      approx[p] = internal::ScreenMeanAllPairs(track_a, track_b, dim, scale,
-                                               precision, &scratch);
-      bound[p] = internal::ScreenBound(track_a.MeanError(),
-                                       track_b.MeanError(), dim, scale,
-                                       options.index.overfetch_margin);
-      scores[p] = approx[p];
-    }
-
-    // Phase 3: exact fp64 re-rank of the provably sufficient shortlist.
-    // Pairs outside it keep their approximate score, which §15.2 shows
-    // ranks strictly after the exact top-K under TopKByScore's
-    // (score, index) order — candidates are bit-identical. (last_scores_
-    // keeps approximate values for unshortlisted pairs.)
-    const std::vector<char> mask = internal::ShortlistMask(
-        approx, bound, TopKCount(options.k_fraction, num_pairs));
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (mask[p] == 0 || !routing.Admitted(p)) continue;
-      if (refs_a[p].empty() || refs_b[p].empty()) continue;
-      features_a.clear();
-      for (reid::FeatureRef ref : refs_a[p]) {
-        features_a.push_back(cache.View(ref).data);
+    for (std::size_t p = begin; p < end; ++p) {
+      embed_track(context.CropsA(p), features_a);
+      embed_track(context.CropsB(p), features_b);
+      // One kernel sweep per fa, the batched normalize epilogue in place,
+      // then a scalar sum in the same fa-outer / fb-inner order as
+      // pairwise NormalizedDistance — bit-identical by construction
+      // (reid/distance_kernels.h).
+      row.resize(features_b.size());
+      double sum = 0.0;
+      for (const double* fa : features_a) {
+        reid::kernels::OneVsManySquared(fa, features_b.data(),
+                                        features_b.size(), dim, row.data());
+        reid::kernels::NormalizedFromSquaredMany(
+            row.data(), features_b.size(), scale, row.data());
+        for (std::size_t j = 0; j < features_b.size(); ++j) {
+          sum += row[j];
+        }
       }
-      features_b.clear();
-      for (reid::FeatureRef ref : refs_b[p]) {
-        features_b.push_back(cache.View(ref).data);
+      const auto count = static_cast<std::int64_t>(features_a.size() *
+                                                   features_b.size());
+      if (batched) {
+        meter.ChargeDistanceBatched(count);
+      } else {
+        meter.ChargeDistance(count);
       }
-      const double sum = exact_sum();
-      scores[p] = sum / static_cast<double>(features_a.size() *
-                                            features_b.size());
-      ++result.reranked_pairs;
-    }
-    internal::RecordScreenObs(
-        result.screened_pairs, result.reranked_pairs,
-        precision == ScreenPrecision::kInt8 ? mirror_rows : 0,
-        precision == ScreenPrecision::kFp16 ? mirror_rows : 0);
-  } else {
-    for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, num_pairs);
-      if (batched) embed_tracks_batched(begin, end);
-
-      for (std::size_t p = begin; p < end; ++p) {
-        if (!routing.Admitted(p)) continue;
-        embed_track(context.CropsA(p), features_a);
-        embed_track(context.CropsB(p), features_b);
-        const double sum = exact_sum();
-        const auto count = static_cast<std::int64_t>(features_a.size() *
-                                                     features_b.size());
-        charge_pair(count);
-        scores[p] = count > 0 ? sum / static_cast<double>(count) : 1.0;
-      }
+      result.box_pairs_evaluated += count;
+      scores[p] = count > 0 ? sum / static_cast<double>(count) : 1.0;
     }
   }
 

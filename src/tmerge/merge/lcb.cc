@@ -6,7 +6,6 @@
 
 #include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
-#include "tmerge/merge/index_support.h"
 
 namespace tmerge::merge {
 
@@ -43,16 +42,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   std::vector<double> sum(num_pairs, 0.0);
   std::vector<std::int64_t> pulls(num_pairs, 0);
 
-  // Cluster router (§15.3): routed-out pairs never enter the bandit — no
-  // initial pull, never eligible in the argmin — and keep score 1.0.
-  // Representatives go through the guard so injected embed faults admit
-  // the pair instead of crashing.
-  const internal::RouterOutcome routing = internal::RoutePairs(
-      context, cache, options.index, [&](const reid::CropRef& crop) {
-        return guard.TryGet(crop).valid();
-      });
-  result.routed_out_pairs = routing.routed_out;
-
   auto evaluate_pair = [&](std::size_t p) {
     auto [row, col] = samplers[p].Sample(rng);
     reid::CropRef crop_a = context.CropsA(p)[row];
@@ -84,7 +73,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   // One initial pull per pair so every bound is defined.
   std::int64_t tau = 0;
   for (std::size_t p = 0; p < num_pairs && tau < tau_max; ++p) {
-    if (!routing.Admitted(p)) continue;
     if (samplers[p].Exhausted()) continue;
     evaluate_pair(p);
     ++tau;
@@ -94,7 +82,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
     double best_bound = std::numeric_limits<double>::infinity();
     std::size_t best_pair = num_pairs;
     for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (!routing.Admitted(p)) continue;
       if (samplers[p].Exhausted()) continue;
       // A pair whose initial pull failed (injected fault) still has zero
       // pulls; its bound is vacuously -inf — maximally optimistic, so it

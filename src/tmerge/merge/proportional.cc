@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
-#include "tmerge/merge/index_support.h"
 
 namespace tmerge::merge {
 
@@ -27,9 +27,7 @@ SelectionResult ProportionalSelector::Select(
   SelectionResult result;
   std::vector<double> scores(num_pairs, 1.0);
 
-  // Pre-draw the sample of BBox pairs for each track pair. Drawn for every
-  // pair — routed-out ones included — so the rng stream, and with it every
-  // admitted pair's sample, is independent of the router verdicts.
+  // Pre-draw the sample of BBox pairs for each track pair.
   struct PairSample {
     std::vector<std::pair<std::int32_t, std::int32_t>> cells;
   };
@@ -47,28 +45,9 @@ SelectionResult ProportionalSelector::Select(
     }
   }
 
-  // Cluster router (§15.3): routed-out pairs keep score 1.0, charge
-  // nothing, and never embed their sampled cells. PS stays on the
-  // infallible embed path, so a representative embed always succeeds.
-  const internal::RouterOutcome routing = internal::RoutePairs(
-      context, cache, options.index, [&](const reid::CropRef& crop) {
-        cache.GetOrEmbed(crop, model, meter);
-        return true;
-      });
-  result.routed_out_pairs = routing.routed_out;
-
-  auto charge_pair = [&](std::int64_t count) {
-    if (batched) {
-      meter.ChargeDistanceBatched(count);
-    } else {
-      meter.ChargeDistance(count);
-    }
-    result.box_pairs_evaluated += count;
-  };
   auto batch_prefetch = [&](std::size_t first_pair, std::size_t last_pair) {
     std::vector<reid::CropRef> crops;
     for (std::size_t p = first_pair; p < last_pair; ++p) {
-      if (!routing.Admitted(p)) continue;
       const auto& crops_a = context.CropsA(p);
       const auto& crops_b = context.CropsB(p);
       for (const auto& [row, col] : samples[p].cells) {
@@ -84,104 +63,26 @@ SelectionResult ProportionalSelector::Select(
                               : num_pairs;
   if (chunk == 0) chunk = 1;
 
-  if (options.index.screen) {
-    // Two-phase sampled sweep (§15.2). Phase 1: embed the sampled cells in
-    // the unscreened order, keeping one arena handle per cell side. Each
-    // pair's distance charge is assessed right here, where the unscreened
-    // loop would have charged it: the meter's clock is a running double
-    // sum, so only the identical charge *order* keeps simulated_seconds
-    // bit-identical (the screened-vs-exact differential suite pins this).
-    std::vector<std::vector<reid::FeatureRef>> refs_a(num_pairs);
-    std::vector<std::vector<reid::FeatureRef>> refs_b(num_pairs);
-    for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, num_pairs);
-      if (batched) batch_prefetch(begin, end);
-      for (std::size_t p = begin; p < end; ++p) {
-        if (!routing.Admitted(p)) continue;
-        const auto& crops_a = context.CropsA(p);
-        const auto& crops_b = context.CropsB(p);
-        refs_a[p].reserve(samples[p].cells.size());
-        refs_b[p].reserve(samples[p].cells.size());
-        for (const auto& [row, col] : samples[p].cells) {
-          cache.GetOrEmbed(crops_a[row], model, meter);
-          refs_a[p].push_back(cache.Find(crops_a[row].detection_id));
-          cache.GetOrEmbed(crops_b[col], model, meter);
-          refs_b[p].push_back(cache.Find(crops_b[col].detection_id));
-        }
-        charge_pair(static_cast<std::int64_t>(samples[p].cells.size()));
-      }
-    }
-
-    // Phase 2: quantized screen, one cell at a time (cells are the sampled
-    // diagonal, not a full product; all charges were assessed in phase 1).
-    const ScreenPrecision precision = options.index.screen_precision;
-    internal::EnsureMirror(cache.mutable_store(), precision);
-    std::vector<double> approx(num_pairs, 1.0);
-    std::vector<double> bound(num_pairs, 0.0);
-    internal::ScreenTrack track_a, track_b;
-    std::int64_t mirror_rows = 0;
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (!routing.Admitted(p)) continue;
-      const auto count = static_cast<std::int64_t>(samples[p].cells.size());
-      ++result.screened_pairs;
-      if (count == 0) continue;
-      internal::GatherScreenTrack(cache.store(), refs_a[p], precision,
-                                  &track_a);
-      internal::GatherScreenTrack(cache.store(), refs_b[p], precision,
-                                  &track_b);
-      mirror_rows += 2 * count;
+  for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, num_pairs);
+    if (batched) batch_prefetch(begin, end);
+    for (std::size_t p = begin; p < end; ++p) {
+      const auto& crops_a = context.CropsA(p);
+      const auto& crops_b = context.CropsB(p);
       double sum = 0.0;
-      for (std::size_t i = 0; i < samples[p].cells.size(); ++i) {
-        sum += internal::ScreenOnePair(track_a, i, track_b, i,
-                                       model.feature_dim(),
-                                       model.normalization_scale(), precision);
+      for (const auto& [row, col] : samples[p].cells) {
+        reid::FeatureView fa = cache.GetOrEmbed(crops_a[row], model, meter);
+        reid::FeatureView fb = cache.GetOrEmbed(crops_b[col], model, meter);
+        sum += model.NormalizedDistance(fa, fb);
       }
-      approx[p] = sum / static_cast<double>(count);
-      bound[p] = internal::ScreenBound(track_a.MeanError(),
-                                       track_b.MeanError(),
-                                       model.feature_dim(),
-                                       model.normalization_scale(),
-                                       options.index.overfetch_margin);
-      scores[p] = approx[p];
-    }
-
-    // Phase 3: exact fp64 re-rank of the provably sufficient shortlist,
-    // reproducing the unscreened per-cell NormalizedDistance sum verbatim.
-    const std::vector<char> mask = internal::ShortlistMask(
-        approx, bound, TopKCount(options.k_fraction, num_pairs));
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (mask[p] == 0 || !routing.Admitted(p)) continue;
-      if (samples[p].cells.empty()) continue;
-      double sum = 0.0;
-      for (std::size_t i = 0; i < samples[p].cells.size(); ++i) {
-        sum += model.NormalizedDistance(cache.View(refs_a[p][i]),
-                                        cache.View(refs_b[p][i]));
+      auto count = static_cast<std::int64_t>(samples[p].cells.size());
+      if (batched) {
+        meter.ChargeDistanceBatched(count);
+      } else {
+        meter.ChargeDistance(count);
       }
-      scores[p] = sum / static_cast<double>(samples[p].cells.size());
-      ++result.reranked_pairs;
-    }
-    internal::RecordScreenObs(
-        result.screened_pairs, result.reranked_pairs,
-        precision == ScreenPrecision::kInt8 ? mirror_rows : 0,
-        precision == ScreenPrecision::kFp16 ? mirror_rows : 0);
-  } else {
-    for (std::size_t begin = 0; begin < num_pairs; begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, num_pairs);
-      if (batched) batch_prefetch(begin, end);
-      for (std::size_t p = begin; p < end; ++p) {
-        if (!routing.Admitted(p)) continue;
-        const auto& crops_a = context.CropsA(p);
-        const auto& crops_b = context.CropsB(p);
-        double sum = 0.0;
-        for (const auto& [row, col] : samples[p].cells) {
-          reid::FeatureView fa = cache.GetOrEmbed(crops_a[row], model, meter);
-          reid::FeatureView fb = cache.GetOrEmbed(crops_b[col], model, meter);
-          sum += model.NormalizedDistance(fa, fb);
-        }
-        auto count = static_cast<std::int64_t>(samples[p].cells.size());
-        charge_pair(count);
-        if (count > 0) scores[p] = sum / static_cast<double>(count);
-      }
+      result.box_pairs_evaluated += count;
+      if (count > 0) scores[p] = sum / static_cast<double>(count);
     }
   }
 

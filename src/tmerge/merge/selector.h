@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tmerge/merge/pair_store.h"
-#include "tmerge/reid/candidate_index.h"
 #include "tmerge/reid/cost_model.h"
 #include "tmerge/reid/feature_cache.h"
 #include "tmerge/reid/reid_guard.h"
@@ -17,38 +16,6 @@ class EmbedScheduler;
 }  // namespace tmerge::reid
 
 namespace tmerge::merge {
-
-/// Mirror precision of the quantized screen (DESIGN.md §15.2).
-enum class ScreenPrecision : std::uint8_t { kInt8, kFp16 };
-
-/// Fast candidate index controls (DESIGN.md §15). Defaults leave every
-/// selector on the exact PR 5 path.
-struct IndexOptions {
-  /// Two-phase sweep for the full-sweep selectors (BL, PS): every pair is
-  /// scored with a quantized compact-slab kernel, then a provably
-  /// sufficient shortlist is re-ranked with the exact fp64 kernels. The
-  /// returned SelectionResult is bit-identical to the unscreened run —
-  /// candidates, charges and counters alike — because the true top-K is
-  /// always inside the shortlist (§15.2 over-fetch bound) and charges are
-  /// assessed exactly as in the unscreened sweep.
-  bool screen = false;
-  ScreenPrecision screen_precision = ScreenPrecision::kInt8;
-  /// Multiplier >= 1.0 on the proven error bound when shortlisting.
-  /// 1.0 is already sufficient; the default keeps daylight between the
-  /// bound and any future kernel change.
-  double overfetch_margin = 1.5;
-  /// Coarse cluster router (all four selectors): pairs whose track
-  /// representatives do not share a probed cluster are dropped from the
-  /// sweep with score 1.0. Cuts work below O(pairs); recall becomes
-  /// approximate unless router_exhaustive is set.
-  bool router = false;
-  /// Probe every cluster: admits every pair, making candidates identical
-  /// to the router-off run — the recall==1.0 differential mode tests pin.
-  bool router_exhaustive = false;
-  /// Clusters probed per track representative when not exhaustive.
-  std::int32_t router_probes = 8;
-  reid::ClusterIndexOptions cluster;
-};
 
 /// Options shared by every candidate selector.
 struct SelectorOptions {
@@ -82,8 +49,6 @@ struct SelectorOptions {
   /// prefetching; today only tmerge::gate::GatedSelector reads it (for
   /// GateConfig::prefetch_ambiguous).
   reid::EmbedScheduler* embed_scheduler = nullptr;
-  /// Fast candidate index (quantized screen + cluster router, §15).
-  IndexOptions index;
 };
 
 /// Output of one selector run on one window.
@@ -113,12 +78,6 @@ struct SelectionResult {
   /// and cost but never update posteriors — DESIGN.md "Fault model &
   /// degraded mode".
   std::int64_t failed_pulls = 0;
-  /// Fast-index bookkeeping (§15): pairs scored by the quantized screen,
-  /// pairs the exact re-rank touched, and pairs the cluster router dropped
-  /// without evaluation. All zero on the exact PR 5 paths.
-  std::int64_t screened_pairs = 0;
-  std::int64_t reranked_pairs = 0;
-  std::int64_t routed_out_pairs = 0;
   /// ReID retry attempts made beyond first attempts.
   std::int64_t reid_retries = 0;
   /// True when the window's ReID circuit breaker opened: the tail of the

@@ -8,7 +8,6 @@
 #include "tmerge/core/beta.h"
 #include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
-#include "tmerge/merge/index_support.h"
 #include "tmerge/obs/span.h"
 
 namespace tmerge::merge {
@@ -153,28 +152,12 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
     return result;
   }
 
-  // Cluster router (§15.3): routed-out pairs enter the bandit frozen as
-  // kPrunedOut — RunUlb only transitions kLive pairs and the Thompson loop
-  // only draws kLive ones, so they are never sampled — and are forced to
-  // score 1.0 in the final ranking (a frozen Beta(1, 1) mean of 0.5 would
-  // otherwise outrank genuinely sampled pairs). Representatives go through
-  // the guard so injected embed faults admit the pair.
-  const internal::RouterOutcome routing = internal::RoutePairs(
-      context, cache, options.index, [&](const reid::CropRef& crop) {
-        return guard.TryGet(crop).valid();
-      });
-  result.routed_out_pairs = routing.routed_out;
-
   // --- Initialization: BetaInit (Algorithm 3) or flat Beta(1, 1). ---
   std::vector<PairBandit> bandits(num_pairs);
   std::vector<BoxPairSampler> samplers;
   samplers.reserve(num_pairs);
   for (std::size_t p = 0; p < num_pairs; ++p) {
     samplers.emplace_back(context.TrackA(p).size(), context.TrackB(p).size());
-    if (!routing.Admitted(p)) {
-      bandits[p].state = PairState::kPrunedOut;
-      continue;
-    }
     if (options_.use_beta_init &&
         context.SpatialDistance(p) < options_.thr_s) {
       // Spatially close fragments are promising: lower the prior mean so
@@ -291,10 +274,6 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
   // pairs are ranked by their exact score.
   std::vector<double> scores(num_pairs);
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (!routing.Admitted(p)) {
-      scores[p] = 1.0;
-      continue;
-    }
     scores[p] = bandits[p].state == PairState::kExhausted
                     ? bandits[p].SampleMean()
                     : bandits[p].beta.Mean();

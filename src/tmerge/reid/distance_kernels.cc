@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#endif
-
-// Function multiversioning: the AVX2/AVX-512 kernels below are compiled
-// with per-function target attributes so the translation unit itself
-// stays buildable at the baseline arch. GCC and clang both support this
-// on x86-64; elsewhere the dispatch tops out at whatever the global
-// flags provide. NOTE the target strings deliberately exclude "fma":
-// contraction of mul+add into fused ops would change the rounding of the
-// accumulation chain and break the bit-identity contract against the
-// scalar/SSE2 paths (this file is additionally built with
-// -ffp-contract=off, see src/CMakeLists.txt).
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TMERGE_KERNEL_MULTIVERSION 1
-#include <immintrin.h>
-#else
-#define TMERGE_KERNEL_MULTIVERSION 0
 #endif
 
 #include "tmerge/core/status.h"
@@ -38,11 +19,9 @@ namespace {
 #define TMERGE_RESTRICT
 #endif
 
-#ifdef TMERGE_SCALAR_KERNELS
-constexpr bool kDefaultScalar = true;
-#else
-constexpr bool kDefaultScalar = false;
-#endif
+/// The scalar toggle. Relaxed ordering suffices: both paths return the
+/// same bits, so no other memory access needs to be ordered against it.
+std::atomic<bool> g_use_scalar{false};
 
 /// The unrolled kernel. Four differences per round trip keep the
 /// subtract/multiply units busy; the single accumulator keeps the
@@ -160,414 +139,14 @@ inline void FourRowsSquared(const double* TMERGE_RESTRICT q,
 }
 #endif
 
-void Sse2OneVsMany(const double* query, const double* const* many,
-                   std::size_t count, std::size_t dim, double* out) {
-  std::size_t i = 0;
-#if defined(__SSE2__)
-  for (; i + 8 <= count; i += 8) {
-    EightRowsSquared(query, many + i, dim, out + i);
-  }
-#endif
-  for (; i + 4 <= count; i += 4) {
-    FourRowsSquared(query, many[i], many[i + 1], many[i + 2], many[i + 3],
-                    dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = UnrolledSquared(query, many[i], dim);
-  }
-}
-
-#if TMERGE_KERNEL_MULTIVERSION
-
-/// AVX2 four-row block: one 4-lane vector carries the four row
-/// accumulators; lane k is row k's scalar chain bit for bit (per-lane
-/// IEEE, single accumulator per row, index order, no FMA).
-__attribute__((target("avx2"))) void FourRowsSquaredAvx2(
-    const double* TMERGE_RESTRICT q, const double* const* rows,
-    std::size_t dim, double* TMERGE_RESTRICT out) {
-  const double* TMERGE_RESTRICT b0 = rows[0];
-  const double* TMERGE_RESTRICT b1 = rows[1];
-  const double* TMERGE_RESTRICT b2 = rows[2];
-  const double* TMERGE_RESTRICT b3 = rows[3];
-  __m256d s = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m256d q_i = _mm256_set1_pd(q[i]);
-    // _mm256_set_pd packs (e3, e2, e1, e0): lane 0 carries row 0.
-    const __m256d b = _mm256_set_pd(b3[i], b2[i], b1[i], b0[i]);
-    const __m256d d = _mm256_sub_pd(q_i, b);
-    s = _mm256_add_pd(s, _mm256_mul_pd(d, d));
-  }
-  _mm256_storeu_pd(out, s);
-}
-
-/// AVX2 eight-row block: two 4-lane accumulator vectors per iteration.
-__attribute__((target("avx2"))) void EightRowsSquaredAvx2(
-    const double* TMERGE_RESTRICT q, const double* const* rows,
-    std::size_t dim, double* TMERGE_RESTRICT out) {
-  const double* TMERGE_RESTRICT b0 = rows[0];
-  const double* TMERGE_RESTRICT b1 = rows[1];
-  const double* TMERGE_RESTRICT b2 = rows[2];
-  const double* TMERGE_RESTRICT b3 = rows[3];
-  const double* TMERGE_RESTRICT b4 = rows[4];
-  const double* TMERGE_RESTRICT b5 = rows[5];
-  const double* TMERGE_RESTRICT b6 = rows[6];
-  const double* TMERGE_RESTRICT b7 = rows[7];
-  __m256d s0123 = _mm256_setzero_pd();
-  __m256d s4567 = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m256d q_i = _mm256_set1_pd(q[i]);
-    const __m256d lo = _mm256_set_pd(b3[i], b2[i], b1[i], b0[i]);
-    const __m256d hi = _mm256_set_pd(b7[i], b6[i], b5[i], b4[i]);
-    const __m256d dlo = _mm256_sub_pd(q_i, lo);
-    const __m256d dhi = _mm256_sub_pd(q_i, hi);
-    s0123 = _mm256_add_pd(s0123, _mm256_mul_pd(dlo, dlo));
-    s4567 = _mm256_add_pd(s4567, _mm256_mul_pd(dhi, dhi));
-  }
-  _mm256_storeu_pd(out, s0123);
-  _mm256_storeu_pd(out + 4, s4567);
-}
-
-__attribute__((target("avx2"))) void Avx2OneVsMany(
-    const double* query, const double* const* many, std::size_t count,
-    std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    EightRowsSquaredAvx2(query, many + i, dim, out + i);
-  }
-  for (; i + 4 <= count; i += 4) {
-    FourRowsSquaredAvx2(query, many + i, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = UnrolledSquared(query, many[i], dim);
-  }
-}
-
-/// AVX-512 eight-row block: one 8-lane vector carries all eight row
-/// accumulators. avx512f only — no vl/bw needed, and no fma ever.
-__attribute__((target("avx512f"))) void EightRowsSquaredAvx512(
-    const double* TMERGE_RESTRICT q, const double* const* rows,
-    std::size_t dim, double* TMERGE_RESTRICT out) {
-  const double* TMERGE_RESTRICT b0 = rows[0];
-  const double* TMERGE_RESTRICT b1 = rows[1];
-  const double* TMERGE_RESTRICT b2 = rows[2];
-  const double* TMERGE_RESTRICT b3 = rows[3];
-  const double* TMERGE_RESTRICT b4 = rows[4];
-  const double* TMERGE_RESTRICT b5 = rows[5];
-  const double* TMERGE_RESTRICT b6 = rows[6];
-  const double* TMERGE_RESTRICT b7 = rows[7];
-  __m512d s = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m512d q_i = _mm512_set1_pd(q[i]);
-    // _mm512_set_pd packs (e7, ..., e0): lane 0 carries row 0.
-    const __m512d b = _mm512_set_pd(b7[i], b6[i], b5[i], b4[i], b3[i],
-                                    b2[i], b1[i], b0[i]);
-    const __m512d d = _mm512_sub_pd(q_i, b);
-    s = _mm512_add_pd(s, _mm512_mul_pd(d, d));
-  }
-  _mm512_storeu_pd(out, s);
-}
-
-__attribute__((target("avx512f"))) void Avx512OneVsMany(
-    const double* query, const double* const* many, std::size_t count,
-    std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    EightRowsSquaredAvx512(query, many + i, dim, out + i);
-  }
-  for (; i + 4 <= count; i += 4) {
-    FourRowsSquaredAvx2(query, many + i, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = UnrolledSquared(query, many[i], dim);
-  }
-}
-
-/// AVX2/AVX-512 normalize epilogues. vsqrtpd and vdivpd are IEEE
-/// correctly-rounded at every width, so each lane reproduces the scalar
-/// sqrt/div/clamp chain bit for bit.
-__attribute__((target("avx2"))) void NormalizeManyAvx2(
-    const double* squared, std::size_t count, double scale, double* out) {
-  const __m256d scale4 = _mm256_set1_pd(scale);
-  const __m256d zero4 = _mm256_setzero_pd();
-  const __m256d one4 = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d d =
-        _mm256_div_pd(_mm256_sqrt_pd(_mm256_loadu_pd(squared + i)), scale4);
-    _mm256_storeu_pd(out + i, _mm256_min_pd(_mm256_max_pd(d, zero4), one4));
-  }
-  for (; i < count; ++i) {
-    const double d = std::sqrt(squared[i]) / scale;
-    out[i] = std::clamp(d, 0.0, 1.0);
-  }
-}
-
-__attribute__((target("avx512f"))) void NormalizeManyAvx512(
-    const double* squared, std::size_t count, double scale, double* out) {
-  const __m512d scale8 = _mm512_set1_pd(scale);
-  const __m512d zero8 = _mm512_setzero_pd();
-  const __m512d one8 = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m512d d =
-        _mm512_div_pd(_mm512_sqrt_pd(_mm512_loadu_pd(squared + i)), scale8);
-    _mm512_storeu_pd(out + i, _mm512_min_pd(_mm512_max_pd(d, zero8), one8));
-  }
-  for (; i < count; ++i) {
-    const double d = std::sqrt(squared[i]) / scale;
-    out[i] = std::clamp(d, 0.0, 1.0);
-  }
-}
-
-/// AVX2 int8 screen dots: exact int32 sums Σ row[j]² and Σ q[j]·row[j]
-/// over one row, 16 bytes per step via cvtepi8_epi16 + madd_epi16 on
-/// contiguous loads. Integer addition is associative, so any summation
-/// order — eight vector lanes here, index order in the scalar reference —
-/// produces the same int32s, and with them bit-identical screen
-/// distances at every dispatch level. madd pairs two int16 products
-/// (each ≤ 127²), so an int32 lane grows by at most 2·127² per step:
-/// overflow needs dim beyond ~130k, far past any feature dimension the
-/// store accepts (the scalar single-accumulator bound, dim ≤ 2³¹/127²,
-/// is the binding one).
-__attribute__((target("avx2"))) void Int8RowDotsAvx2(
-    const std::int8_t* TMERGE_RESTRICT q,
-    const std::int8_t* TMERGE_RESTRICT row, std::size_t dim,
-    std::int32_t* bb_out, std::int32_t* qb_out) {
-  __m256i acc_bb = _mm256_setzero_si256();
-  __m256i acc_qb = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256i q16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i)));
-    const __m256i b16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i)));
-    acc_qb = _mm256_add_epi32(acc_qb, _mm256_madd_epi16(q16, b16));
-    acc_bb = _mm256_add_epi32(acc_bb, _mm256_madd_epi16(b16, b16));
-  }
-  // In-register horizontal sums: at small dims the per-row reduction is
-  // most of the work, so it must not round-trip through memory.
-  const __m128i bb4 = _mm_add_epi32(_mm256_castsi256_si128(acc_bb),
-                                    _mm256_extracti128_si256(acc_bb, 1));
-  const __m128i qb4 = _mm_add_epi32(_mm256_castsi256_si128(acc_qb),
-                                    _mm256_extracti128_si256(acc_qb, 1));
-  const __m128i bb2 =
-      _mm_add_epi32(bb4, _mm_shuffle_epi32(bb4, _MM_SHUFFLE(1, 0, 3, 2)));
-  const __m128i qb2 =
-      _mm_add_epi32(qb4, _mm_shuffle_epi32(qb4, _MM_SHUFFLE(1, 0, 3, 2)));
-  std::int32_t bb = _mm_cvtsi128_si32(
-      _mm_add_epi32(bb2, _mm_shuffle_epi32(bb2, _MM_SHUFFLE(2, 3, 0, 1))));
-  std::int32_t qb = _mm_cvtsi128_si32(
-      _mm_add_epi32(qb2, _mm_shuffle_epi32(qb2, _MM_SHUFFLE(2, 3, 0, 1))));
-  for (; i < dim; ++i) {
-    const std::int32_t bv = row[i];
-    bb += bv * bv;
-    qb += static_cast<std::int32_t>(q[i]) * bv;
-  }
-  *bb_out = bb;
-  *qb_out = qb;
-}
-
-/// AVX2+F16C fp16 screen block. vcvtph2ps widens exactly — identical to
-/// the software HalfToFloat — so this too matches the scalar quantized
-/// kernel bit for bit.
-__attribute__((target("avx2,f16c"))) void Fp16EightRowsAvx2(
-    const std::uint16_t* TMERGE_RESTRICT q, const std::uint16_t* const* rows,
-    std::size_t dim, float* TMERGE_RESTRICT out) {
-  const std::uint16_t* TMERGE_RESTRICT b0 = rows[0];
-  const std::uint16_t* TMERGE_RESTRICT b1 = rows[1];
-  const std::uint16_t* TMERGE_RESTRICT b2 = rows[2];
-  const std::uint16_t* TMERGE_RESTRICT b3 = rows[3];
-  const std::uint16_t* TMERGE_RESTRICT b4 = rows[4];
-  const std::uint16_t* TMERGE_RESTRICT b5 = rows[5];
-  const std::uint16_t* TMERGE_RESTRICT b6 = rows[6];
-  const std::uint16_t* TMERGE_RESTRICT b7 = rows[7];
-  __m256 s = _mm256_setzero_ps();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m256 q_i = _mm256_cvtph_ps(_mm_set1_epi16(
-        static_cast<short>(q[i])));
-    // _mm_set_epi16 packs (e7, ..., e0): lane 0 carries row 0.
-    const __m256 bv = _mm256_cvtph_ps(_mm_set_epi16(
-        static_cast<short>(b7[i]), static_cast<short>(b6[i]),
-        static_cast<short>(b5[i]), static_cast<short>(b4[i]),
-        static_cast<short>(b3[i]), static_cast<short>(b2[i]),
-        static_cast<short>(b1[i]), static_cast<short>(b0[i])));
-    const __m256 d = _mm256_sub_ps(q_i, bv);
-    s = _mm256_add_ps(s, _mm256_mul_ps(d, d));
-  }
-  _mm256_storeu_ps(out, s);
-}
-
-bool CpuHasF16c() {
-  static const bool has = __builtin_cpu_supports("f16c");
-  return has;
-}
-
-#endif  // TMERGE_KERNEL_MULTIVERSION
-
-/// Scalar int8 screen dots: exact int32 sums Σ row[j]² and Σ q[j]·row[j]
-/// in index order. The reference every SIMD variant must match — and
-/// does trivially, because integer sums are order-independent.
-void Int8RowDots(const std::int8_t* TMERGE_RESTRICT q,
-                 const std::int8_t* TMERGE_RESTRICT row, std::size_t dim,
-                 std::int32_t* bb_out, std::int32_t* qb_out) {
-  std::int32_t bb = 0;
-  std::int32_t qb = 0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const std::int32_t bv = row[i];
-    bb += bv * bv;
-    qb += static_cast<std::int32_t>(q[i]) * bv;
-  }
-  *bb_out = bb;
-  *qb_out = qb;
-}
-
-/// Reconstructs the squared screen distance from exact integer dots:
-///   |qs·q - bs·b|² = qs²·Σq² + bs²·Σb² - 2·qs·bs·Σq·b.
-/// Every input converts to double exactly (int32 values, float scales),
-/// so the only error is one double rounding per operation — orders of
-/// magnitude below the screen bound's arithmetic slack. Cancellation can
-/// leave a tiny negative; clamp at zero before the caller's sqrt.
-float Int8SquaredFromDots(std::int32_t qq, std::int32_t bb, std::int32_t qb,
-                          float qscale, float bscale) {
-  const double qs = static_cast<double>(qscale);
-  const double bs = static_cast<double>(bscale);
-  const double d2 = qs * qs * static_cast<double>(qq) +
-                    bs * bs * static_cast<double>(bb) -
-                    2.0 * qs * bs * static_cast<double>(qb);
-  return d2 > 0.0 ? static_cast<float>(d2) : 0.0f;
-}
-
-float Fp16ScalarRow(const std::uint16_t* TMERGE_RESTRICT q,
-                    const std::uint16_t* TMERGE_RESTRICT row,
-                    std::size_t dim) {
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const float d = HalfToFloat(q[i]) - HalfToFloat(row[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
-KernelLevel ComputeDefaultLevel() {
-  KernelLevel level = kDefaultScalar ? KernelLevel::kScalar
-                                     : DetectedKernelLevel();
-  const char* env = std::getenv("TMERGE_KERNEL_LEVEL");
-  if (env == nullptr || *env == '\0') return level;
-  KernelLevel parsed;
-  // Strict like the other TMERGE_* knobs (TMERGE_OBS policy): a typo must
-  // never silently decide which kernel tier a run measures.
-  if (!ParseKernelLevel(env, &parsed)) {
-    std::fprintf(stderr,
-                 "tmerge: ignoring invalid TMERGE_KERNEL_LEVEL=\"%s\" "
-                 "(want scalar, sse2, avx2 or avx512); using %s\n",
-                 env, KernelLevelName(level));
-    return level;
-  }
-  if (!KernelLevelSupported(parsed)) {
-    std::fprintf(stderr,
-                 "tmerge: TMERGE_KERNEL_LEVEL=\"%s\" not supported on this "
-                 "host (best is %s); using %s\n",
-                 env, KernelLevelName(DetectedKernelLevel()),
-                 KernelLevelName(level));
-    return level;
-  }
-  return parsed;
-}
-
-/// Session default: compile-time default, overridden once by the
-/// environment. Memoized via magic static (thread-safe); distinct from
-/// the *current* level so SetUseScalarKernels(false) can restore it.
-KernelLevel DefaultLevel() {
-  static const KernelLevel level = ComputeDefaultLevel();
-  return level;
-}
-
-/// Current dispatch level. -1 = not yet initialized from DefaultLevel()
-/// (lazy so the env override applies before first use, without ordering
-/// against static initialization).
-std::atomic<int> g_level{-1};
-
 }  // namespace
 
-KernelLevel DetectedKernelLevel() {
-#if TMERGE_KERNEL_MULTIVERSION
-  static const KernelLevel detected = [] {
-    if (__builtin_cpu_supports("avx512f")) return KernelLevel::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
-    return KernelLevel::kSse2;  // x86-64 baseline.
-  }();
-  return detected;
-#elif defined(__SSE2__)
-  return KernelLevel::kSse2;
-#else
-  return KernelLevel::kScalar;
-#endif
-}
-
-bool KernelLevelSupported(KernelLevel level) {
-  return static_cast<int>(level) <= static_cast<int>(DetectedKernelLevel());
-}
-
-std::vector<KernelLevel> SupportedKernelLevels() {
-  std::vector<KernelLevel> levels;
-  for (int l = 0; l <= static_cast<int>(DetectedKernelLevel()); ++l) {
-    levels.push_back(static_cast<KernelLevel>(l));
-  }
-  return levels;
-}
-
-KernelLevel CurrentKernelLevel() {
-  int value = g_level.load(std::memory_order_relaxed);
-  if (value >= 0) return static_cast<KernelLevel>(value);
-  const KernelLevel def = DefaultLevel();
-  int expected = -1;
-  g_level.compare_exchange_strong(expected, static_cast<int>(def),
-                                  std::memory_order_relaxed);
-  return static_cast<KernelLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-bool SetKernelLevel(KernelLevel level) {
-  if (!KernelLevelSupported(level)) return false;
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-  return true;
-}
-
-const char* KernelLevelName(KernelLevel level) {
-  switch (level) {
-    case KernelLevel::kScalar:
-      return "scalar";
-    case KernelLevel::kSse2:
-      return "sse2";
-    case KernelLevel::kAvx2:
-      return "avx2";
-    case KernelLevel::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
-bool ParseKernelLevel(const char* text, KernelLevel* out) {
-  if (text == nullptr || out == nullptr) return false;
-  if (std::strcmp(text, "scalar") == 0) {
-    *out = KernelLevel::kScalar;
-  } else if (std::strcmp(text, "sse2") == 0) {
-    *out = KernelLevel::kSse2;
-  } else if (std::strcmp(text, "avx2") == 0) {
-    *out = KernelLevel::kAvx2;
-  } else if (std::strcmp(text, "avx512") == 0) {
-    *out = KernelLevel::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool UseScalarKernels() {
-  return CurrentKernelLevel() == KernelLevel::kScalar;
+  return g_use_scalar.load(std::memory_order_relaxed);
 }
 
 void SetUseScalarKernels(bool scalar) {
-  SetKernelLevel(scalar ? KernelLevel::kScalar : DefaultLevel());
+  g_use_scalar.store(scalar, std::memory_order_relaxed);
 }
 
 double ScalarSquaredDistance(const double* a, const double* b,
@@ -601,42 +180,32 @@ double Distance(FeatureView a, FeatureView b) {
 
 void OneVsManySquared(const double* query, const double* const* many,
                       std::size_t count, std::size_t dim, double* out) {
-  switch (CurrentKernelLevel()) {
-    case KernelLevel::kScalar:
-      for (std::size_t i = 0; i < count; ++i) {
-        out[i] = ScalarSquaredDistance(query, many[i], dim);
-      }
-      return;
-#if TMERGE_KERNEL_MULTIVERSION
-    case KernelLevel::kAvx512:
-      Avx512OneVsMany(query, many, count, dim, out);
-      return;
-    case KernelLevel::kAvx2:
-      Avx2OneVsMany(query, many, count, dim, out);
-      return;
+  std::size_t i = 0;
+  if (UseScalarKernels()) {
+    for (; i < count; ++i) {
+      out[i] = ScalarSquaredDistance(query, many[i], dim);
+    }
+    return;
+  }
+#if defined(__SSE2__)
+  for (; i + 8 <= count; i += 8) {
+    EightRowsSquared(query, many + i, dim, out + i);
+  }
 #endif
-    default:
-      Sse2OneVsMany(query, many, count, dim, out);
-      return;
+  for (; i + 4 <= count; i += 4) {
+    FourRowsSquared(query, many[i], many[i + 1], many[i + 2], many[i + 3],
+                    dim, out + i);
+  }
+  for (; i < count; ++i) {
+    out[i] = UnrolledSquared(query, many[i], dim);
   }
 }
 
 void NormalizedFromSquaredMany(const double* squared, std::size_t count,
                                double scale, double* out) {
-  const KernelLevel level = CurrentKernelLevel();
-#if TMERGE_KERNEL_MULTIVERSION
-  if (level == KernelLevel::kAvx512) {
-    NormalizeManyAvx512(squared, count, scale, out);
-    return;
-  }
-  if (level == KernelLevel::kAvx2) {
-    NormalizeManyAvx2(squared, count, scale, out);
-    return;
-  }
-#endif
   std::size_t i = 0;
 #if defined(__SSE2__)
-  if (level != KernelLevel::kScalar) {
+  if (!UseScalarKernels()) {
     // sqrtpd and divpd are IEEE correctly-rounded, exactly like their
     // scalar forms, so the vector lanes reproduce the scalar epilogue bit
     // for bit while retiring two sqrt+div chains per instruction pair.
@@ -654,123 +223,6 @@ void NormalizedFromSquaredMany(const double* squared, std::size_t count,
     const double d = std::sqrt(squared[i]) / scale;
     out[i] = std::clamp(d, 0.0, 1.0);
   }
-}
-
-void Int8OneVsManySquared(const std::int8_t* query, float query_scale,
-                          const std::int8_t* const* many,
-                          const float* many_scales, std::size_t count,
-                          std::size_t dim, float* out) {
-  // Σ query[j]² is shared by every output row: compute it once per sweep.
-  std::int32_t qq = 0;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const std::int32_t qv = query[j];
-    qq += qv * qv;
-  }
-  std::size_t i = 0;
-#if TMERGE_KERNEL_MULTIVERSION
-  if (static_cast<int>(CurrentKernelLevel()) >=
-      static_cast<int>(KernelLevel::kAvx2)) {
-    for (; i < count; ++i) {
-      std::int32_t bb;
-      std::int32_t qb;
-      Int8RowDotsAvx2(query, many[i], dim, &bb, &qb);
-      out[i] = Int8SquaredFromDots(qq, bb, qb, query_scale, many_scales[i]);
-    }
-  }
-#endif
-  for (; i < count; ++i) {
-    std::int32_t bb;
-    std::int32_t qb;
-    Int8RowDots(query, many[i], dim, &bb, &qb);
-    out[i] = Int8SquaredFromDots(qq, bb, qb, query_scale, many_scales[i]);
-  }
-}
-
-void Fp16OneVsManySquared(const std::uint16_t* query,
-                          const std::uint16_t* const* many,
-                          std::size_t count, std::size_t dim, float* out) {
-  std::size_t i = 0;
-#if TMERGE_KERNEL_MULTIVERSION
-  if (static_cast<int>(CurrentKernelLevel()) >=
-          static_cast<int>(KernelLevel::kAvx2) &&
-      CpuHasF16c()) {
-    for (; i + 8 <= count; i += 8) {
-      Fp16EightRowsAvx2(query, many + i, dim, out + i);
-    }
-  }
-#endif
-  for (; i < count; ++i) {
-    out[i] = Fp16ScalarRow(query, many[i], dim);
-  }
-}
-
-std::uint16_t FloatToHalf(float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  const std::uint32_t sign = bits & 0x80000000u;
-  bits ^= sign;
-  std::uint16_t half;
-  if (bits >= 0x47800000u) {  // >= 2^16: inf/nan, or overflow to inf.
-    half = (bits > 0x7F800000u) ? 0x7E00u : 0x7C00u;
-  } else if (bits < 0x38800000u) {  // < 2^-14: subnormal half or zero.
-    // Adding 2^(-14+13) = 0.5 as a float aligns the 10 result mantissa
-    // bits at the bottom of the float mantissa with round-to-nearest-even
-    // applied by the FP add itself; subtracting the bias bits leaves the
-    // half pattern.
-    const std::uint32_t denorm_magic = ((127u - 15u + 23u - 10u + 1u) << 23);
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    float magic;
-    std::memcpy(&magic, &denorm_magic, sizeof(magic));
-    f += magic;
-    std::memcpy(&bits, &f, sizeof(bits));
-    half = static_cast<std::uint16_t>(bits - denorm_magic);
-  } else {
-    // Normal: rebias the exponent and round the mantissa to 10 bits,
-    // round-to-nearest-even (0xFFF bias plus the odd bit).
-    const std::uint32_t mant_odd = (bits >> 13) & 1u;
-    bits += (static_cast<std::uint32_t>(15 - 127) << 23) + 0xFFFu;
-    bits += mant_odd;
-    half = static_cast<std::uint16_t>(bits >> 13);
-  }
-  return static_cast<std::uint16_t>(half | (sign >> 16));
-}
-
-float HalfToFloat(std::uint16_t half) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(half & 0x8000u) << 16;
-  const std::uint32_t exp = (half >> 10) & 0x1Fu;
-  std::uint32_t mant = half & 0x3FFu;
-  std::uint32_t bits;
-  if (exp == 0) {
-    if (mant == 0) {
-      bits = sign;  // +/- 0.
-    } else {
-      // Subnormal half: value = mant * 2^-24. Normalize so bit 10 leads;
-      // after `shift` shifts the value is 1.f * 2^(-14 - shift), so the
-      // float exponent field is 127 - 14 - shift (the -15 the normal
-      // branch uses would halve every subnormal — exactly the kind of
-      // drift the cross-level differential against F16C hardware pins).
-      int shift = 0;
-      while (!(mant & 0x400u)) {
-        mant <<= 1;
-        ++shift;
-      }
-      bits = sign | (static_cast<std::uint32_t>(127 - 14 - shift) << 23) |
-             ((mant & 0x3FFu) << 13);
-    }
-  } else if (exp == 31) {
-    // Inf/NaN. Signaling NaNs are quieted (set the quiet bit), matching
-    // what vcvtph2ps does, so software and F16C conversions agree on
-    // every one of the 65536 half patterns — not just the ones
-    // FloatToHalf can emit.
-    if (mant != 0) mant |= 0x200u;
-    bits = sign | 0x7F800000u | (mant << 13);
-  } else {
-    bits = sign | ((exp + 112u) << 23) | (mant << 13);
-  }
-  float value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
 }
 
 }  // namespace tmerge::reid::kernels

@@ -2,8 +2,6 @@
 #define TMERGE_REID_DISTANCE_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "tmerge/reid/feature.h"
 
@@ -11,20 +9,19 @@ namespace tmerge::reid::kernels {
 
 /// Distance kernels underneath every selector inner loop. Two properties
 /// matter more than raw FLOPs here (DESIGN.md §10 "Memory layout &
-/// kernels", §15 "Million-track candidate index"):
+/// kernels"):
 ///
-///   1. *Bit-compatibility.* Every dispatched kernel accumulates each
-///      output element in exactly the same order as the scalar reference
-///      (one running sum per output, elements in index order), so every
-///      dispatch level returns identical bits and every selector produces
-///      identical SelectionResults under any of them. The wide variants
-///      only exploit parallelism *across* independent outputs: on SSE2 two
-///      rows share a 2-lane vector op, on AVX2 four rows share a 4-lane
-///      one, on AVX-512 eight rows an 8-lane one — IEEE arithmetic is
-///      per-lane, so lane k is row k's scalar chain bit for bit. No
-///      reduction is ever reassociated, and the SIMD paths are compiled
-///      without FMA so mul+add cannot contract differently from the
-///      scalar reference.
+///   1. *Bit-compatibility.* Every fast kernel accumulates each output
+///      element in exactly the same order as the scalar reference (one
+///      running sum per output, elements in index order), so the fast and
+///      scalar paths return identical bits and every selector produces
+///      identical SelectionResults under either. The SSE2 variants only
+///      exploit parallelism *across* independent outputs: two rows share a
+///      2-lane vector op, and IEEE arithmetic is per-lane, so lane k is
+///      row k's scalar chain bit for bit. No reduction is ever
+///      reassociated, and this translation unit is compiled without FMA
+///      contraction so mul+add cannot round differently from the scalar
+///      reference.
 ///   2. *No per-call validation.* Dimension agreement is a debug-only
 ///      TMERGE_DCHECK; features coming out of a FeatureStore were
 ///      dimension-checked once at registration.
@@ -38,61 +35,23 @@ namespace tmerge::reid::kernels {
 /// parameter) must take the sqrt per element: the mean of squares ranks
 /// differently from the mean of roots.
 
-/// Instruction-set tier a kernel call dispatches to. Levels are ordered:
-/// a level is usable only when the CPU supports it (checked once via
-/// CPUID at startup) and the compiler could build it (function
-/// multiversioning via target attributes; GCC/clang on x86-64).
-enum class KernelLevel : int {
-  kScalar = 0,  ///< Straight-line reference loops.
-  kSse2 = 1,    ///< 2-lane double blocks (baseline x86-64).
-  kAvx2 = 2,    ///< 4-lane double / 8-lane float blocks.
-  kAvx512 = 3,  ///< 8-lane double blocks (avx512f).
-};
-
-/// Highest level this host supports (CPUID + compiler), memoized.
-KernelLevel DetectedKernelLevel();
-
-/// True when `level` can run on this host.
-bool KernelLevelSupported(KernelLevel level);
-
-/// Every level usable on this host, ascending (always includes kScalar).
-std::vector<KernelLevel> SupportedKernelLevels();
-
-/// The level the dispatching entry points currently route to. The
-/// default is the detected best level — or the TMERGE_KERNEL_LEVEL
-/// environment override, applied once at first query with the same
-/// strict parsing as the other TMERGE_* knobs (exact level name; junk
-/// warns on stderr and is ignored) — or kScalar when the library was
-/// built with -DTMERGE_SCALAR_KERNELS=ON.
-KernelLevel CurrentKernelLevel();
-
-/// Routes subsequent kernel calls to `level`. Returns false (and leaves
-/// the level unchanged) when the host does not support it. Reads are
-/// relaxed atomic loads, one predictable branch per kernel call.
-bool SetKernelLevel(KernelLevel level);
-
-/// Display/parse name: "scalar", "sse2", "avx2", "avx512".
-const char* KernelLevelName(KernelLevel level);
-
-/// Strict parser for TMERGE_KERNEL_LEVEL-style values: accepts exactly
-/// the four level names, nothing else. Returns false on junk.
-bool ParseKernelLevel(const char* text, KernelLevel* out);
-
-/// True when the dispatching entry points route to the scalar reference
-/// (CurrentKernelLevel() == kScalar). Kept for the PR 5-era toggle API:
-/// SetUseScalarKernels(true) pins kScalar, SetUseScalarKernels(false)
-/// restores the session default (detected best or the env override).
+/// True when the entry points below route to the scalar reference loops
+/// instead of the unrolled/SSE2 paths. Off by default. The toggle exists
+/// so differential tests and bench_micro can run every selector on the
+/// reference and compare bits; outputs are identical either way. Reads
+/// and writes are relaxed atomic operations, one predictable branch per
+/// kernel call.
 bool UseScalarKernels();
 void SetUseScalarKernels(bool scalar);
 
 /// Reference implementation: straight-line loop, one accumulator, index
-/// order. Always available regardless of the dispatch level; differential
-/// tests pin every other level against it.
+/// order. Always available regardless of the toggle; differential tests
+/// pin the fast paths against it.
 double ScalarSquaredDistance(const double* a, const double* b,
                              std::size_t dim);
 
-/// Squared Euclidean distance over contiguous storage (dispatching entry
-/// point). Bit-identical to ScalarSquaredDistance by construction.
+/// Squared Euclidean distance over contiguous storage. Bit-identical to
+/// ScalarSquaredDistance by construction.
 double SquaredDistance(const double* a, const double* b, std::size_t dim);
 
 /// Euclidean distance: sqrt of SquaredDistance.
@@ -106,11 +65,9 @@ double Distance(FeatureView a, FeatureView b);
 /// i in [0, count). `many` is an array of `count` pointers, each to `dim`
 /// contiguous doubles (gathered FeatureStore rows); `out` has room for
 /// `count` results. Each element is computed exactly like
-/// SquaredDistance(query, many[i], dim) — same bits at every dispatch
-/// level — but the batched form amortizes call overhead and keeps the
-/// query row hot in L1 across the sweep. This is the BL/PS full-sweep and
-/// "-B" scoring kernel, and the exact re-rank kernel of the candidate
-/// index (DESIGN.md §15).
+/// SquaredDistance(query, many[i], dim) — same bits on either path — but
+/// the batched form amortizes call overhead and keeps the query row hot in
+/// L1 across the sweep. This is the BL full-sweep and "-B" scoring kernel.
 void OneVsManySquared(const double* query, const double* const* many,
                       std::size_t count, std::size_t dim, double* out);
 
@@ -118,53 +75,14 @@ void OneVsManySquared(const double* query, const double* const* many,
 ///   out[i] = clamp(sqrt(squared[i]) / scale, 0.0, 1.0)
 /// for i in [0, count); in-place (out == squared) is allowed. Each element
 /// matches ReidModel::NormalizedFromSquared bit for bit: sqrt and divide
-/// are IEEE correctly-rounded in the scalar loop and in every vector path
-/// (sqrtpd/divpd round identically to sqrtsd/divsd at any width), and the
-/// clamp is min/max against the same constants. `scale` must be positive
-/// and `squared[i]` non-negative (sums of squares), so no NaNs reach the
+/// are IEEE correctly-rounded in the scalar loop and in the SSE2 path
+/// (sqrtpd/divpd round identically to sqrtsd/divsd), and the clamp is
+/// min/max against the same constants. `scale` must be positive and
+/// `squared[i]` non-negative (sums of squares), so no NaNs reach the
 /// min/max. Selectors use this to finish a row without paying one scalar
 /// sqrt+div round trip per element.
 void NormalizedFromSquaredMany(const double* squared, std::size_t count,
                                double scale, double* out);
-
-// --- Quantized screening kernels (DESIGN.md §15.2) ----------------------
-//
-// The compact-slab screen runs over int8- or fp16-mirrored rows
-// (reid::FeatureStore quantized mirrors). These kernels are NOT
-// bit-compatible with the fp64 kernels above — they feed the approximate
-// screening phase only, and the exact fp64 re-rank restores the final
-// ranking bit for bit. They ARE bit-identical across dispatch levels:
-// the int8 kernel reduces to exact int32 dot products (integer addition
-// is associative, so any SIMD summation order yields the same integers)
-// finished by one fixed double-precision epilogue, and the fp16 kernel
-// widens halves exactly (F16C converts identically to the software
-// HalfToFloat) and accumulates fp32 per-lane in index order — so a
-// screen shortlist never depends on the host's SIMD tier.
-
-/// out[i] = |query_scale*query - many_scales[i]*many[i]|^2 over the
-/// dequantized rows, reconstructed from exact int32 dot products
-///   qs^2*sum(q^2) + bs^2*sum(b^2) - 2*qs*bs*sum(q*b)
-/// evaluated once in double and clamped at zero. Symmetric int8
-/// quantization: real value = scale * q. The int32 dots bound dim at
-/// ~130k elements — far beyond any real feature dimension.
-void Int8OneVsManySquared(const std::int8_t* query, float query_scale,
-                          const std::int8_t* const* many,
-                          const float* many_scales, std::size_t count,
-                          std::size_t dim, float* out);
-
-/// out[i] = sum_j (half_to_float(query[j]) - half_to_float(many[i][j]))^2,
-/// accumulated in fp32 in index order. Halves are IEEE binary16 stored in
-/// uint16_t; widening to fp32 is exact.
-void Fp16OneVsManySquared(const std::uint16_t* query,
-                          const std::uint16_t* const* many,
-                          std::size_t count, std::size_t dim, float* out);
-
-/// IEEE binary16 <-> binary32 conversions (round-to-nearest-even on
-/// narrowing; widening is exact). Software implementations, used by the
-/// mirror build and the scalar quantized kernels; the SIMD quantized
-/// paths produce identical bits (F16C converts identically).
-std::uint16_t FloatToHalf(float value);
-float HalfToFloat(std::uint16_t half);
 
 }  // namespace tmerge::reid::kernels
 

@@ -186,13 +186,4 @@ std::vector<FeatureView> FeatureCache::TryGetOrEmbedBatch(
   return out;
 }
 
-CoarseClusterIndex& FeatureCache::EnsureClusterIndex(
-    const ClusterIndexOptions& options) {
-  if (cluster_index_ == nullptr) {
-    cluster_index_ = std::make_unique<CoarseClusterIndex>(options);
-  }
-  cluster_index_->Ensure(store_);
-  return *cluster_index_;
-}
-
 }  // namespace tmerge::reid

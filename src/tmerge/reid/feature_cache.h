@@ -2,11 +2,9 @@
 #define TMERGE_REID_FEATURE_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "tmerge/core/status.h"
-#include "tmerge/reid/candidate_index.h"
 #include "tmerge/reid/cost_model.h"
 #include "tmerge/reid/feature.h"
 #include "tmerge/reid/feature_store.h"
@@ -185,31 +183,12 @@ class FeatureCache {
   /// Resolves a handle returned by Find.
   FeatureView View(FeatureRef ref) const { return store_.View(ref); }
 
-  /// The backing arena (kernel gather paths, diagnostics).
-  const FeatureStore& store() const { return store_; }
-
-  /// Mutable arena access for the quantized-mirror build (EnsureInt8Mirror
-  /// / EnsureFp16Mirror): mirrors are derived read-caches, so extending
-  /// them never perturbs the fp64 rows handles point at.
-  FeatureStore& mutable_store() { return store_; }
-
-  /// Lazily creates (first call fixes the options) and refreshes the
-  /// coarse cluster router over this cache's arena (DESIGN.md §15.3).
-  /// Thread-confined with the cache; Clear() drops it.
-  CoarseClusterIndex& EnsureClusterIndex(const ClusterIndexOptions& options);
-
-  /// The router, if EnsureClusterIndex ever ran; nullptr otherwise.
-  const CoarseClusterIndex* cluster_index() const {
-    return cluster_index_.get();
-  }
-
   /// Cached (indexed) features; orphaned arena slots are not counted.
   std::size_t size() const { return index_.size(); }
 
   void Clear() {
     index_.Clear();
     store_.Clear();
-    cluster_index_.reset();
   }
 
  private:
@@ -218,7 +197,6 @@ class FeatureCache {
 
   FeatureStore store_;
   DetectionIndex index_;
-  std::unique_ptr<CoarseClusterIndex> cluster_index_;
 };
 
 }  // namespace tmerge::reid

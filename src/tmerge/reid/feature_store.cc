@@ -1,26 +1,10 @@
 #include "tmerge/reid/feature_store.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "tmerge/core/status.h"
-#include "tmerge/reid/distance_kernels.h"
 
 namespace tmerge::reid {
-namespace {
-
-/// Rounds a double error bound UP to float so downstream fp32 bound
-/// arithmetic can never under-estimate it.
-float ErrorUpperBound(double err) {
-  float f = static_cast<float>(err);
-  if (static_cast<double>(f) < err) {
-    f = std::nextafter(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
-}
-
-}  // namespace
 
 FeatureRef FeatureStore::Append(const double* data, std::size_t dim) {
   if (size_ == 0) {
@@ -48,97 +32,12 @@ void FeatureStore::Overwrite(FeatureRef ref, const double* data,
                              std::size_t dim) {
   TMERGE_CHECK(dim == dim_);
   std::copy(data, data + dim_, MutableSlot(ref));
-  // Keep any built mirror coherent: the refreshed row is requantized in
-  // place (this is the fault-only forced-miss path — rare by contract).
-  if (ref.index < int8_rows_) QuantizeInt8Row(ref.index);
-  if (ref.index < fp16_rows_) QuantizeFp16Row(ref.index);
 }
 
 void FeatureStore::Clear() {
   slabs_.clear();
   size_ = 0;
   dim_ = 0;
-  int8_rows_ = 0;
-  int8_slabs_.clear();
-  int8_scales_.clear();
-  int8_errors_.clear();
-  fp16_rows_ = 0;
-  fp16_slabs_.clear();
-  fp16_errors_.clear();
-}
-
-void FeatureStore::EnsureInt8Mirror() {
-  if (int8_rows_ == size_) return;
-  int8_scales_.resize(size_);
-  int8_errors_.resize(size_);
-  while (int8_slabs_.size() < slabs_.size()) {
-    int8_slabs_.push_back(
-        std::make_unique<std::int8_t[]>(kSlabFeatures * dim_));
-  }
-  for (std::size_t row = int8_rows_; row < size_; ++row) {
-    QuantizeInt8Row(row);
-  }
-  int8_rows_ = size_;
-}
-
-void FeatureStore::EnsureFp16Mirror() {
-  if (fp16_rows_ == size_) return;
-  fp16_errors_.resize(size_);
-  while (fp16_slabs_.size() < slabs_.size()) {
-    fp16_slabs_.push_back(
-        std::make_unique<std::uint16_t[]>(kSlabFeatures * dim_));
-  }
-  for (std::size_t row = fp16_rows_; row < size_; ++row) {
-    QuantizeFp16Row(row);
-  }
-  fp16_rows_ = size_;
-}
-
-void FeatureStore::QuantizeInt8Row(std::size_t row) {
-  const double* src = slabs_[row / kSlabFeatures].get() +
-                      (row % kSlabFeatures) * dim_;
-  std::int8_t* dst = int8_slabs_[row / kSlabFeatures].get() +
-                     (row % kSlabFeatures) * dim_;
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    max_abs = std::max(max_abs, std::fabs(src[i]));
-  }
-  // Symmetric per-row scale: value ~= scale * q with q in [-127, 127].
-  // The scale is carried as the float the kernel will actually multiply
-  // by, so the recorded error measures the real reconstruction.
-  const float scale =
-      max_abs > 0.0 ? static_cast<float>(max_abs / 127.0) : 0.0f;
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    int q = 0;
-    if (scale > 0.0f) {
-      q = static_cast<int>(
-          std::lround(src[i] / static_cast<double>(scale)));
-      q = std::clamp(q, -127, 127);
-    }
-    dst[i] = static_cast<std::int8_t>(q);
-    const double rebuilt = static_cast<double>(scale) * q;
-    max_err = std::max(max_err, std::fabs(src[i] - rebuilt));
-  }
-  int8_scales_[row] = scale;
-  int8_errors_[row] = ErrorUpperBound(max_err);
-}
-
-void FeatureStore::QuantizeFp16Row(std::size_t row) {
-  const double* src = slabs_[row / kSlabFeatures].get() +
-                      (row % kSlabFeatures) * dim_;
-  std::uint16_t* dst = fp16_slabs_[row / kSlabFeatures].get() +
-                       (row % kSlabFeatures) * dim_;
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const std::uint16_t half =
-        kernels::FloatToHalf(static_cast<float>(src[i]));
-    dst[i] = half;
-    const double rebuilt =
-        static_cast<double>(kernels::HalfToFloat(half));
-    max_err = std::max(max_err, std::fabs(src[i] - rebuilt));
-  }
-  fp16_errors_[row] = ErrorUpperBound(max_err);
 }
 
 const double* FeatureStore::Slot(FeatureRef ref) const {
@@ -151,33 +50,6 @@ double* FeatureStore::MutableSlot(FeatureRef ref) {
   TMERGE_CHECK(ref.index < size_);
   return slabs_[ref.index / kSlabFeatures].get() +
          (ref.index % kSlabFeatures) * dim_;
-}
-
-const std::int8_t* FeatureStore::Int8Row(FeatureRef ref) const {
-  TMERGE_DCHECK(ref.index < int8_rows_);
-  return int8_slabs_[ref.index / kSlabFeatures].get() +
-         (ref.index % kSlabFeatures) * dim_;
-}
-
-const std::uint16_t* FeatureStore::Fp16Row(FeatureRef ref) const {
-  TMERGE_DCHECK(ref.index < fp16_rows_);
-  return fp16_slabs_[ref.index / kSlabFeatures].get() +
-         (ref.index % kSlabFeatures) * dim_;
-}
-
-float FeatureStore::Int8Scale(FeatureRef ref) const {
-  TMERGE_DCHECK(ref.index < int8_rows_);
-  return int8_scales_[ref.index];
-}
-
-float FeatureStore::Int8Error(FeatureRef ref) const {
-  TMERGE_DCHECK(ref.index < int8_rows_);
-  return int8_errors_[ref.index];
-}
-
-float FeatureStore::Fp16Error(FeatureRef ref) const {
-  TMERGE_DCHECK(ref.index < fp16_rows_);
-  return fp16_errors_[ref.index];
 }
 
 }  // namespace tmerge::reid

@@ -95,66 +95,13 @@ class FeatureStore {
   /// all handles and views — the one operation allowed to.
   void Clear();
 
-  // --- Quantized mirror slabs (DESIGN.md §15.2) -------------------------
-  //
-  // Compact read-only mirrors of the fp64 rows for the two-phase screen:
-  // int8 symmetric-quantized (1 byte/element, per-row scale) and IEEE
-  // binary16 (2 bytes/element). Mirrors are built lazily — EnsureMirror
-  // extends a mirror to cover every row appended so far, converting only
-  // rows added since the last call — and need no invalidation because the
-  // arena is append-only (Overwrite, the fault-injection-only refresh
-  // path, requantizes the touched row in place). Mirror slabs shadow the
-  // fp64 slabs one-for-one and are never moved once created, so mirror
-  // row pointers share the handle-stability contract.
-  //
-  // Each mirrored row records the max elementwise |original -
-  // reconstructed| in double, rounded UP to float — the per-row `h` term
-  // the screen's over-fetch bound consumes (§15.2: the normalized-score
-  // error of a row pair is at most (h_a + h_b) * sqrt(dim) / scale).
-
-  /// Extends the int8 mirror to cover rows [0, size()).
-  void EnsureInt8Mirror();
-
-  /// Extends the fp16 mirror to cover rows [0, size()).
-  void EnsureFp16Mirror();
-
-  /// Rows currently covered by each mirror (monotone except Clear).
-  std::size_t int8_rows() const { return int8_rows_; }
-  std::size_t fp16_rows() const { return fp16_rows_; }
-
-  /// Mirror row accessors. Valid only for refs below the corresponding
-  /// *_rows() watermark (debug-checked).
-  const std::int8_t* Int8Row(FeatureRef ref) const;
-  const std::uint16_t* Fp16Row(FeatureRef ref) const;
-
-  /// Symmetric quantization scale of a mirrored row: original value ~=
-  /// scale * quantized. Zero for an all-zero row (whose mirror is exact).
-  float Int8Scale(FeatureRef ref) const;
-
-  /// Upper bound on max elementwise |original - reconstructed| of a
-  /// mirrored row.
-  float Int8Error(FeatureRef ref) const;
-  float Fp16Error(FeatureRef ref) const;
-
  private:
   const double* Slot(FeatureRef ref) const;
   double* MutableSlot(FeatureRef ref);
 
-  void QuantizeInt8Row(std::size_t row);
-  void QuantizeFp16Row(std::size_t row);
-
   std::size_t dim_ = 0;
   std::size_t size_ = 0;
   std::vector<std::unique_ptr<double[]>> slabs_;
-
-  std::size_t int8_rows_ = 0;
-  std::vector<std::unique_ptr<std::int8_t[]>> int8_slabs_;
-  std::vector<float> int8_scales_;  ///< Per row, indexed by ref.
-  std::vector<float> int8_errors_;
-
-  std::size_t fp16_rows_ = 0;
-  std::vector<std::unique_ptr<std::uint16_t[]>> fp16_slabs_;
-  std::vector<float> fp16_errors_;
 };
 
 }  // namespace tmerge::reid

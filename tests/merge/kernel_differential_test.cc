@@ -93,42 +93,6 @@ TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAcrossKernelPaths) {
   }
 }
 
-// Per-level sweep (§15.1): every dispatch tier this host supports returns
-// the scalar run's SelectionResult bit for bit, for all four selectors.
-// Unsupported tiers are simply absent from SupportedKernelLevels(); the
-// parameterized suite in reid/distance_kernels_test.cc logs those skips.
-TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAtEverySupportedLevel) {
-  namespace k = reid::kernels;
-  class ScopedLevel {
-   public:
-    ScopedLevel() : saved_(k::CurrentKernelLevel()) {}
-    ~ScopedLevel() { k::SetKernelLevel(saved_); }
-
-   private:
-    k::KernelLevel saved_;
-  } restore;
-
-  testing::MergeScenario scenario;
-  auto run_at = [&](CandidateSelector& selector, k::KernelLevel level) {
-    EXPECT_TRUE(k::SetKernelLevel(level));
-    reid::FeatureCache cache;
-    SelectorOptions options;
-    options.seed = 11;
-    return selector.Select(scenario.context(), scenario.model(), cache,
-                           options);
-  };
-  for (auto& [name, selector] : AllSelectors()) {
-    SelectionResult reference = run_at(*selector, k::KernelLevel::kScalar);
-    EXPECT_GT(reference.box_pairs_evaluated, 0) << name;
-    for (k::KernelLevel level : k::SupportedKernelLevels()) {
-      if (level == k::KernelLevel::kScalar) continue;
-      SelectionResult result = run_at(*selector, level);
-      ExpectBitIdentical(result, reference,
-                         name + " level=" + k::KernelLevelName(level));
-    }
-  }
-}
-
 // Dataset-level: kernel path x thread count over two dataset profiles, all
 // four combinations bit-identical in every deterministic EvalResult field.
 TEST(KernelDifferentialTest, DatasetEvalBitIdenticalAcrossKernelsAndThreads) {

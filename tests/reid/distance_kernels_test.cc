@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "tmerge/core/rng.h"
@@ -82,30 +81,42 @@ TEST(DistanceKernelsTest, DistanceIsSqrtOfSquared) {
   }
 }
 
+// The SSE2 one-vs-many sweep returns the scalar toggle's bytes. Dims
+// cross the unrolled loop's remainder; counts reach every 8-row, 4-row
+// and single-row branch of the sweep. Each row also equals the
+// single-pair kernel on its own path.
 TEST(DistanceKernelsTest, OneVsManyMatchesSingleCalls) {
   ScopedKernelMode restore;
   core::Rng rng(99);
-  constexpr std::size_t kDim = 16, kCount = 37;
-  std::vector<double> query = RandomFeature(rng, kDim);
-  std::vector<std::vector<double>> features;
-  std::vector<const double*> many;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    features.push_back(RandomFeature(rng, kDim));
-    many.push_back(features.back().data());
-  }
-  for (bool scalar : {false, true}) {
-    SetUseScalarKernels(scalar);
-    std::vector<double> out(kCount);
-    OneVsManySquared(query.data(), many.data(), kCount, kDim, out.data());
-    for (std::size_t i = 0; i < kCount; ++i) {
+  for (std::size_t dim : {1u, 3u, 8u, 16u, 17u, 33u, 64u}) {
+    for (std::size_t count : {1u, 2u, 7u, 9u, 37u}) {
+      std::vector<double> query = RandomFeature(rng, dim);
+      std::vector<std::vector<double>> features;
+      std::vector<const double*> many;
+      for (std::size_t i = 0; i < count; ++i) {
+        features.push_back(RandomFeature(rng, dim));
+        many.push_back(features.back().data());
+      }
+      std::vector<double> reference(count);
+      std::vector<double> out(count);
+      SetUseScalarKernels(true);
+      OneVsManySquared(query.data(), many.data(), count, dim,
+                       reference.data());
+      SetUseScalarKernels(false);
+      OneVsManySquared(query.data(), many.data(), count, dim, out.data());
       EXPECT_EQ(
-          UlpDiff(out[i], SquaredDistance(query.data(), many[i], kDim)), 0)
-          << "scalar=" << scalar << " i=" << i;
-      // Cross-mode too: both dispatch modes are bit-identical by design.
-      EXPECT_EQ(
-          UlpDiff(out[i], ScalarSquaredDistance(query.data(), many[i], kDim)),
+          std::memcmp(out.data(), reference.data(), count * sizeof(double)),
           0)
-          << i;
+          << "dim=" << dim << " count=" << count;
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(
+            UlpDiff(out[i], SquaredDistance(query.data(), many[i], dim)), 0)
+            << "dim=" << dim << " count=" << count << " i=" << i;
+        EXPECT_EQ(UlpDiff(reference[i],
+                          ScalarSquaredDistance(query.data(), many[i], dim)),
+                  0)
+            << "dim=" << dim << " count=" << count << " i=" << i;
+      }
     }
   }
 }
@@ -192,348 +203,6 @@ TEST(DistanceKernelsTest, ViewOverloadsMatchPointerOverloads) {
                     SquaredDistance(a.data(), b.data(), 16)),
             0);
   EXPECT_EQ(UlpDiff(Distance(va, vb), Distance(a.data(), b.data(), 16)), 0);
-}
-
-// --- Dispatch-level differential suite (DESIGN.md §15.1) -----------------
-
-/// Restores the dispatch level on scope exit so a failing assertion cannot
-/// leak a pinned level into later tests.
-class ScopedKernelLevel {
- public:
-  ScopedKernelLevel() : saved_(CurrentKernelLevel()) {}
-  ~ScopedKernelLevel() { SetKernelLevel(saved_); }
-
- private:
-  KernelLevel saved_;
-};
-
-std::vector<std::int8_t> RandomInt8Row(core::Rng& rng, std::size_t dim) {
-  std::vector<std::int8_t> v(dim);
-  for (auto& x : v) x = static_cast<std::int8_t>(rng.UniformInt(-127, 127));
-  return v;
-}
-
-std::vector<std::uint16_t> RandomHalfRow(core::Rng& rng, std::size_t dim) {
-  std::vector<std::uint16_t> v(dim);
-  for (auto& x : v) {
-    x = FloatToHalf(static_cast<float>(rng.Normal(0.0, 1.0)));
-  }
-  return v;
-}
-
-/// One test instance per KernelLevel; unsupported levels skip with a
-/// message, so a CI log shows exactly which tiers each runner exercised.
-class KernelLevelTest : public ::testing::TestWithParam<KernelLevel> {
- protected:
-  void SetUp() override {
-    if (!KernelLevelSupported(GetParam())) {
-      GTEST_SKIP() << "kernel level " << KernelLevelName(GetParam())
-                   << " is not supported on this host";
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    AllLevels, KernelLevelTest,
-    ::testing::Values(KernelLevel::kScalar, KernelLevel::kSse2,
-                      KernelLevel::kAvx2, KernelLevel::kAvx512),
-    [](const ::testing::TestParamInfo<KernelLevel>& info) {
-      return KernelLevelName(info.param);
-    });
-
-// The §15.1 contract at every dispatch level: OneVsManySquared returns the
-// scalar reference bits. Dims cross every vector width and remainder lane;
-// counts cross the across-row blocking (2/4/8 rows per vector op).
-TEST_P(KernelLevelTest, OneVsManyBitIdenticalToScalar) {
-  ScopedKernelLevel restore;
-  core::Rng rng(401);
-  for (std::size_t dim : {1u, 3u, 8u, 16u, 17u, 33u, 64u}) {
-    for (std::size_t count : {1u, 2u, 7u, 9u, 37u}) {
-      std::vector<double> query = RandomFeature(rng, dim);
-      std::vector<std::vector<double>> rows;
-      std::vector<const double*> many;
-      for (std::size_t i = 0; i < count; ++i) {
-        rows.push_back(RandomFeature(rng, dim));
-        many.push_back(rows.back().data());
-      }
-      ASSERT_TRUE(SetKernelLevel(KernelLevel::kScalar));
-      std::vector<double> reference(count);
-      OneVsManySquared(query.data(), many.data(), count, dim,
-                       reference.data());
-      ASSERT_TRUE(SetKernelLevel(GetParam()));
-      std::vector<double> out(count);
-      OneVsManySquared(query.data(), many.data(), count, dim, out.data());
-      EXPECT_EQ(std::memcmp(out.data(), reference.data(),
-                            count * sizeof(double)),
-                0)
-          << "dim=" << dim << " count=" << count;
-    }
-  }
-}
-
-TEST_P(KernelLevelTest, NormalizedEpilogueBitIdenticalToScalar) {
-  ScopedKernelLevel restore;
-  core::Rng rng(402);
-  constexpr double kScale = 4.0;
-  for (std::size_t count : {1u, 2u, 7u, 16u, 33u}) {
-    std::vector<double> squared(count);
-    for (double& s : squared) {
-      const double x = rng.Normal(0.0, 3.0);
-      s = x * x;
-    }
-    ASSERT_TRUE(SetKernelLevel(KernelLevel::kScalar));
-    std::vector<double> reference(count);
-    NormalizedFromSquaredMany(squared.data(), count, kScale,
-                              reference.data());
-    ASSERT_TRUE(SetKernelLevel(GetParam()));
-    std::vector<double> out(count);
-    NormalizedFromSquaredMany(squared.data(), count, kScale, out.data());
-    EXPECT_EQ(
-        std::memcmp(out.data(), reference.data(), count * sizeof(double)), 0)
-        << "count=" << count;
-  }
-}
-
-// The quantized kernels are also bit-identical across levels (the int8
-// kernel by exact int32 dots, the fp16 kernel by per-lane fp32 chains) —
-// so a screen shortlist never depends on the host's SIMD tier.
-TEST_P(KernelLevelTest, Int8BitIdenticalToScalar) {
-  ScopedKernelLevel restore;
-  core::Rng rng(403);
-  for (std::size_t dim : {1u, 3u, 15u, 16u, 17u, 33u, 64u}) {
-    constexpr std::size_t kCount = 21;
-    std::vector<std::int8_t> query = RandomInt8Row(rng, dim);
-    const float query_scale = 0.0321f;
-    std::vector<std::vector<std::int8_t>> rows;
-    std::vector<const std::int8_t*> many;
-    std::vector<float> scales;
-    for (std::size_t i = 0; i < kCount; ++i) {
-      rows.push_back(RandomInt8Row(rng, dim));
-      many.push_back(rows.back().data());
-      scales.push_back(0.01f + 0.001f * static_cast<float>(i));
-    }
-    ASSERT_TRUE(SetKernelLevel(KernelLevel::kScalar));
-    std::vector<float> reference(kCount);
-    Int8OneVsManySquared(query.data(), query_scale, many.data(),
-                         scales.data(), kCount, dim, reference.data());
-    ASSERT_TRUE(SetKernelLevel(GetParam()));
-    std::vector<float> out(kCount);
-    Int8OneVsManySquared(query.data(), query_scale, many.data(),
-                         scales.data(), kCount, dim, out.data());
-    EXPECT_EQ(
-        std::memcmp(out.data(), reference.data(), kCount * sizeof(float)), 0)
-        << "dim=" << dim;
-  }
-}
-
-TEST_P(KernelLevelTest, Fp16BitIdenticalToScalar) {
-  ScopedKernelLevel restore;
-  core::Rng rng(404);
-  for (std::size_t dim : {1u, 3u, 8u, 16u, 17u, 33u}) {
-    constexpr std::size_t kCount = 21;
-    std::vector<std::uint16_t> query = RandomHalfRow(rng, dim);
-    std::vector<std::vector<std::uint16_t>> rows;
-    std::vector<const std::uint16_t*> many;
-    for (std::size_t i = 0; i < kCount; ++i) {
-      rows.push_back(RandomHalfRow(rng, dim));
-      many.push_back(rows.back().data());
-    }
-    ASSERT_TRUE(SetKernelLevel(KernelLevel::kScalar));
-    std::vector<float> reference(kCount);
-    Fp16OneVsManySquared(query.data(), many.data(), kCount, dim,
-                         reference.data());
-    ASSERT_TRUE(SetKernelLevel(GetParam()));
-    std::vector<float> out(kCount);
-    Fp16OneVsManySquared(query.data(), many.data(), kCount, dim, out.data());
-    EXPECT_EQ(
-        std::memcmp(out.data(), reference.data(), kCount * sizeof(float)), 0)
-        << "dim=" << dim;
-  }
-}
-
-// --- Dispatch API ---------------------------------------------------------
-
-TEST(KernelDispatchTest, SupportedLevelsAscendFromScalarToDetected) {
-  const std::vector<KernelLevel> levels = SupportedKernelLevels();
-  ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels.front(), KernelLevel::kScalar);
-  EXPECT_EQ(levels.back(), DetectedKernelLevel());
-  for (std::size_t i = 1; i < levels.size(); ++i) {
-    EXPECT_LT(static_cast<int>(levels[i - 1]), static_cast<int>(levels[i]));
-  }
-  for (KernelLevel level : levels) {
-    EXPECT_TRUE(KernelLevelSupported(level)) << KernelLevelName(level);
-  }
-}
-
-TEST(KernelDispatchTest, SetKernelLevelRejectsUnsupportedLevels) {
-  ScopedKernelLevel restore;
-  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kSse2,
-                            KernelLevel::kAvx2, KernelLevel::kAvx512}) {
-    if (KernelLevelSupported(level)) {
-      EXPECT_TRUE(SetKernelLevel(level)) << KernelLevelName(level);
-      EXPECT_EQ(CurrentKernelLevel(), level);
-    } else {
-      const KernelLevel before = CurrentKernelLevel();
-      EXPECT_FALSE(SetKernelLevel(level)) << KernelLevelName(level);
-      EXPECT_EQ(CurrentKernelLevel(), before);  // Unchanged on rejection.
-    }
-  }
-}
-
-// The PR 5-era boolean toggle is a thin view over the level dispatch:
-// "scalar on" pins kScalar, "scalar off" restores the session default.
-TEST(KernelDispatchTest, ScalarToggleRoutesThroughLevels) {
-  ScopedKernelLevel restore;
-  SetUseScalarKernels(true);
-  EXPECT_EQ(CurrentKernelLevel(), KernelLevel::kScalar);
-  EXPECT_TRUE(UseScalarKernels());
-  SetUseScalarKernels(false);
-  EXPECT_EQ(UseScalarKernels(),
-            CurrentKernelLevel() == KernelLevel::kScalar);
-}
-
-TEST(KernelDispatchTest, ParseKernelLevelAcceptsExactNamesOnly) {
-  KernelLevel level = KernelLevel::kAvx512;
-  EXPECT_TRUE(ParseKernelLevel("scalar", &level));
-  EXPECT_EQ(level, KernelLevel::kScalar);
-  EXPECT_TRUE(ParseKernelLevel("sse2", &level));
-  EXPECT_EQ(level, KernelLevel::kSse2);
-  EXPECT_TRUE(ParseKernelLevel("avx2", &level));
-  EXPECT_EQ(level, KernelLevel::kAvx2);
-  EXPECT_TRUE(ParseKernelLevel("avx512", &level));
-  EXPECT_EQ(level, KernelLevel::kAvx512);
-  for (const char* junk :
-       {"", "AVX2", "avx", "avx2 ", " sse2", "3", "scalar,avx2", "best"}) {
-    level = KernelLevel::kSse2;
-    EXPECT_FALSE(ParseKernelLevel(junk, &level)) << '"' << junk << '"';
-    EXPECT_EQ(level, KernelLevel::kSse2) << "junk must not write through";
-  }
-}
-
-TEST(KernelDispatchTest, LevelNamesRoundTripThroughParser) {
-  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kSse2,
-                            KernelLevel::kAvx2, KernelLevel::kAvx512}) {
-    KernelLevel parsed = KernelLevel::kScalar;
-    EXPECT_TRUE(ParseKernelLevel(KernelLevelName(level), &parsed));
-    EXPECT_EQ(parsed, level);
-  }
-}
-
-// --- Quantized kernel semantics ------------------------------------------
-
-// Hand-computed reconstruction: q={1,-2,3} at scale 0.5, b={4,5,-6} at
-// scale 0.25. Sum(q^2)=14, Sum(b^2)=77, Sum(q*b)=-24, so
-// d2 = 0.25*14 + 0.0625*77 + 2*0.125*24 = 14.3125 — also exactly the
-// elementwise |0.5q - 0.25b|^2 (the scales are powers of two, every term
-// exact).
-TEST(QuantizedKernelsTest, Int8KnownReconstruction) {
-  const std::int8_t q[] = {1, -2, 3};
-  const std::int8_t b[] = {4, 5, -6};
-  const std::int8_t* many[] = {b};
-  const float scales[] = {0.25f};
-  float out = -1.0f;
-  Int8OneVsManySquared(q, 0.5f, many, scales, 1, 3, &out);
-  EXPECT_EQ(out, 14.3125f);
-}
-
-// Identical rows at identical scale: qq == bb == qb, the three epilogue
-// terms cancel exactly (the 2*qs*bs product doubles the same rounded
-// value), and the clamp guarantees a hard 0 even under cancellation noise.
-TEST(QuantizedKernelsTest, Int8SelfDistanceIsExactlyZero) {
-  core::Rng rng(405);
-  std::vector<std::int8_t> row = RandomInt8Row(rng, 33);
-  const std::int8_t* many[] = {row.data()};
-  const float scales[] = {0.0173f};
-  float out = -1.0f;
-  Int8OneVsManySquared(row.data(), 0.0173f, many, scales, 1, 33, &out);
-  EXPECT_EQ(out, 0.0f);
-}
-
-TEST(QuantizedKernelsTest, Fp16MatchesWidenedFloatArithmetic) {
-  core::Rng rng(406);
-  for (std::size_t dim : {1u, 5u, 16u, 33u}) {
-    std::vector<std::uint16_t> query = RandomHalfRow(rng, dim);
-    std::vector<std::uint16_t> row = RandomHalfRow(rng, dim);
-    const std::uint16_t* many[] = {row.data()};
-    float out = -1.0f;
-    Fp16OneVsManySquared(query.data(), many, 1, dim, &out);
-    float expected = 0.0f;
-    for (std::size_t j = 0; j < dim; ++j) {
-      const float d = HalfToFloat(query[j]) - HalfToFloat(row[j]);
-      expected += d * d;
-    }
-    EXPECT_EQ(out, expected) << "dim=" << dim;
-  }
-}
-
-// --- IEEE binary16 conversions -------------------------------------------
-
-bool IsHalfNan(std::uint16_t h) {
-  return (h & 0x7C00u) == 0x7C00u && (h & 0x03FFu) != 0;
-}
-
-// Widening is exact and narrowing is its inverse, so the round trip is
-// the identity on every non-NaN pattern — checked exhaustively (the
-// mirror-error measurement in FeatureStore relies on this).
-TEST(HalfConversionTest, RoundTripIsIdentityOnAllNonNanPatterns) {
-  for (std::uint32_t h = 0; h < 0x10000u; ++h) {
-    const auto half = static_cast<std::uint16_t>(h);
-    if (IsHalfNan(half)) continue;
-    EXPECT_EQ(FloatToHalf(HalfToFloat(half)), half) << "half=0x" << std::hex
-                                                    << h;
-  }
-}
-
-// Regression: the subnormal widening path once computed the exponent one
-// off (127-15-shift instead of 127-14-shift), halving every subnormal —
-// self-consistently, so only the F16C hardware differential caught it.
-// Pin the exact values.
-TEST(HalfConversionTest, SubnormalsWidenExactly) {
-  EXPECT_EQ(HalfToFloat(0x0001), std::ldexp(1.0f, -24));  // Smallest.
-  EXPECT_EQ(HalfToFloat(0x0002), std::ldexp(1.0f, -23));
-  EXPECT_EQ(HalfToFloat(0x03FF), std::ldexp(1023.0f, -24));  // Largest.
-  EXPECT_EQ(HalfToFloat(0x0400), std::ldexp(1.0f, -14));  // First normal.
-  EXPECT_EQ(HalfToFloat(0x8001), -std::ldexp(1.0f, -24));
-}
-
-// Regression: vcvtph2ps quiets signaling NaNs; the software widening must
-// do the same or the fp16 kernels diverge across dispatch levels.
-TEST(HalfConversionTest, WideningQuietsSignalingNans) {
-  for (std::uint16_t snan : {std::uint16_t{0x7C01}, std::uint16_t{0x7DFF},
-                             std::uint16_t{0xFC01}}) {
-    const float widened = HalfToFloat(snan);
-    EXPECT_TRUE(std::isnan(widened)) << std::hex << snan;
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &widened, sizeof(bits));
-    EXPECT_NE(bits & 0x00400000u, 0u) << "quiet bit unset for 0x" << std::hex
-                                      << snan;
-    EXPECT_EQ((bits >> 31) != 0, (snan >> 15) != 0) << "sign lost";
-  }
-}
-
-TEST(HalfConversionTest, SpecialValuesPreserved) {
-  EXPECT_EQ(HalfToFloat(0x0000), 0.0f);
-  EXPECT_TRUE(std::signbit(HalfToFloat(0x8000)));
-  EXPECT_EQ(HalfToFloat(0x8000), -0.0f);
-  EXPECT_EQ(HalfToFloat(0x7C00), std::numeric_limits<float>::infinity());
-  EXPECT_EQ(HalfToFloat(0xFC00), -std::numeric_limits<float>::infinity());
-  EXPECT_EQ(HalfToFloat(0x3C00), 1.0f);
-  EXPECT_EQ(HalfToFloat(0x7BFF), 65504.0f);  // Largest finite half.
-}
-
-TEST(HalfConversionTest, NarrowingRoundsToNearestEven) {
-  // 1 + 2^-11 is exactly halfway between half(1.0) and the next half up:
-  // round to the even mantissa (1.0). 1 + 3*2^-11 is halfway between
-  // 1+2^-10 and 1+2^-9: round up to the even mantissa.
-  EXPECT_EQ(FloatToHalf(1.0f + std::ldexp(1.0f, -11)), 0x3C00);
-  EXPECT_EQ(FloatToHalf(1.0f + 3.0f * std::ldexp(1.0f, -11)), 0x3C02);
-  // Above the halfway point rounds up.
-  EXPECT_EQ(FloatToHalf(1.0f + 1.5f * std::ldexp(1.0f, -11)), 0x3C01);
-  // Overflow saturates to infinity (65520 is the halfway point to 2^16,
-  // whose even neighbor is out of range).
-  EXPECT_EQ(FloatToHalf(65520.0f), 0x7C00);
-  EXPECT_EQ(FloatToHalf(-1.0e6f), 0xFC00);
 }
 
 #if TMERGE_DCHECK_ENABLED

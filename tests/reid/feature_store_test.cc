@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "tmerge/core/rng.h"
-#include "tmerge/reid/distance_kernels.h"
 #include "tmerge/reid/feature.h"
 
 namespace tmerge::reid {
@@ -111,172 +108,6 @@ TEST(FeatureStoreTest, ClearResetsDimRegistration) {
 // The single dimension-validation point: every feature entering the arena
 // must match the registered dimension (this is what lets the distance
 // kernels drop their per-call dimension check to debug-only).
-// --- Quantized mirror slabs (DESIGN.md §15.2) ----------------------------
-
-FeatureVector RandomFeature(core::Rng& rng, std::size_t dim) {
-  FeatureVector v(dim);
-  for (double& x : v) x = rng.Normal(0.0, 1.0);
-  return v;
-}
-
-// The property every screen bound rests on: for each mirrored row, the
-// recorded error bounds the max elementwise |original - reconstructed|.
-TEST(FeatureStoreMirrorTest, Int8ErrorBoundsEveryElement) {
-  core::Rng rng(501);
-  FeatureStore store;
-  constexpr std::size_t kDim = 16, kRows = 64;
-  std::vector<FeatureRef> refs;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    refs.push_back(store.Append(RandomFeature(rng, kDim)));
-  }
-  store.EnsureInt8Mirror();
-  ASSERT_EQ(store.int8_rows(), kRows);
-  for (FeatureRef ref : refs) {
-    const double* original = store.Data(ref);
-    const std::int8_t* quantized = store.Int8Row(ref);
-    const double scale = store.Int8Scale(ref);
-    const double error = store.Int8Error(ref);
-    for (std::size_t j = 0; j < kDim; ++j) {
-      const double reconstructed = scale * static_cast<double>(quantized[j]);
-      EXPECT_LE(std::abs(original[j] - reconstructed), error)
-          << "ref=" << ref.index << " j=" << j;
-    }
-    // Symmetric int8 at 127 steps: the error should also be small, not
-    // merely an upper bound — catch a degenerate always-huge bound.
-    EXPECT_LT(error, scale + 1e-6);
-  }
-}
-
-TEST(FeatureStoreMirrorTest, Fp16ErrorBoundsEveryElement) {
-  core::Rng rng(502);
-  FeatureStore store;
-  constexpr std::size_t kDim = 16, kRows = 64;
-  std::vector<FeatureRef> refs;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    refs.push_back(store.Append(RandomFeature(rng, kDim)));
-  }
-  store.EnsureFp16Mirror();
-  ASSERT_EQ(store.fp16_rows(), kRows);
-  for (FeatureRef ref : refs) {
-    const double* original = store.Data(ref);
-    const std::uint16_t* halves = store.Fp16Row(ref);
-    const double error = store.Fp16Error(ref);
-    for (std::size_t j = 0; j < kDim; ++j) {
-      const double reconstructed =
-          static_cast<double>(kernels::HalfToFloat(halves[j]));
-      EXPECT_LE(std::abs(original[j] - reconstructed), error)
-          << "ref=" << ref.index << " j=" << j;
-    }
-    // binary16 keeps ~3 decimal digits around 1.0; N(0,1) rows must come
-    // out far tighter than any int8 bound would.
-    EXPECT_LT(error, 0.01);
-  }
-}
-
-TEST(FeatureStoreMirrorTest, AllZeroRowMirrorsExactly) {
-  FeatureStore store;
-  FeatureRef ref = store.Append(FeatureVector(8, 0.0));
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
-  EXPECT_EQ(store.Int8Scale(ref), 0.0f);
-  EXPECT_EQ(store.Int8Error(ref), 0.0f);
-  EXPECT_EQ(store.Fp16Error(ref), 0.0f);
-  for (std::size_t j = 0; j < 8; ++j) {
-    EXPECT_EQ(store.Int8Row(ref)[j], 0);
-    EXPECT_EQ(kernels::HalfToFloat(store.Fp16Row(ref)[j]), 0.0f);
-  }
-}
-
-// Mirrors extend lazily: Ensure converts only the rows appended since the
-// last call, and already-converted rows keep their slab addresses.
-TEST(FeatureStoreMirrorTest, MirrorsExtendLazilyAndStayPinned) {
-  core::Rng rng(503);
-  FeatureStore store;
-  FeatureRef first = store.Append(RandomFeature(rng, 8));
-  store.Append(RandomFeature(rng, 8));
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
-  EXPECT_EQ(store.int8_rows(), 2u);
-  EXPECT_EQ(store.fp16_rows(), 2u);
-  const std::int8_t* first_int8 = store.Int8Row(first);
-  const std::uint16_t* first_fp16 = store.Fp16Row(first);
-
-  FeatureRef third = store.Append(RandomFeature(rng, 8));
-  EXPECT_EQ(store.int8_rows(), 2u);  // Not mirrored until the next Ensure.
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
-  EXPECT_EQ(store.int8_rows(), 3u);
-  EXPECT_EQ(store.fp16_rows(), 3u);
-  EXPECT_EQ(store.Int8Row(first), first_int8);
-  EXPECT_EQ(store.Fp16Row(first), first_fp16);
-  EXPECT_NE(store.Int8Row(third), nullptr);
-}
-
-// Mirror slabs shadow the fp64 slabs one-for-one, so growth past a slab
-// boundary must not move any previously returned mirror row.
-TEST(FeatureStoreMirrorTest, MirrorRowsStableAcrossSlabGrowth) {
-  core::Rng rng(504);
-  FeatureStore store;
-  constexpr std::size_t kCount = FeatureStore::kSlabFeatures + 33;
-  std::vector<FeatureRef> refs;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    refs.push_back(store.Append(RandomFeature(rng, 4)));
-    if (i == 0) store.EnsureInt8Mirror();
-  }
-  const std::int8_t* first_row = store.Int8Row(refs.front());
-  store.EnsureInt8Mirror();
-  EXPECT_EQ(store.int8_rows(), kCount);
-  EXPECT_EQ(store.Int8Row(refs.front()), first_row);
-  // A row in the second slab is mirrored and bounded too.
-  FeatureRef late = refs[FeatureStore::kSlabFeatures + 5];
-  const double* original = store.Data(late);
-  const double scale = store.Int8Scale(late);
-  for (std::size_t j = 0; j < 4; ++j) {
-    const double reconstructed =
-        scale * static_cast<double>(store.Int8Row(late)[j]);
-    EXPECT_LE(std::abs(original[j] - reconstructed), store.Int8Error(late));
-  }
-}
-
-// Overwrite (the fault-injection refresh path) requantizes the touched
-// row in place so mirrors never serve stale bytes.
-TEST(FeatureStoreMirrorTest, OverwriteRequantizesMirroredRow) {
-  core::Rng rng(505);
-  FeatureStore store;
-  FeatureRef ref = store.Append(RandomFeature(rng, 8));
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
-
-  FeatureVector fresh = RandomFeature(rng, 8);
-  for (double& x : fresh) x *= 3.0;  // Force a different scale.
-  store.Overwrite(ref, fresh);
-  const double scale = store.Int8Scale(ref);
-  for (std::size_t j = 0; j < 8; ++j) {
-    EXPECT_LE(std::abs(fresh[j] - scale * store.Int8Row(ref)[j]),
-              store.Int8Error(ref))
-        << j;
-    EXPECT_LE(std::abs(fresh[j] - kernels::HalfToFloat(store.Fp16Row(ref)[j])),
-              store.Fp16Error(ref))
-        << j;
-  }
-}
-
-TEST(FeatureStoreMirrorTest, ClearResetsMirrors) {
-  core::Rng rng(506);
-  FeatureStore store;
-  store.Append(RandomFeature(rng, 8));
-  store.EnsureInt8Mirror();
-  store.EnsureFp16Mirror();
-  store.Clear();
-  EXPECT_EQ(store.int8_rows(), 0u);
-  EXPECT_EQ(store.fp16_rows(), 0u);
-  // Mirrors restart cleanly at a different dimension.
-  FeatureRef ref = store.Append(RandomFeature(rng, 4));
-  store.EnsureInt8Mirror();
-  EXPECT_EQ(store.int8_rows(), 1u);
-  EXPECT_NE(store.Int8Row(ref), nullptr);
-}
-
 TEST(FeatureStoreDeathTest, MismatchedDimensionAborts) {
   FeatureStore store;
   store.Append(MakeFeature(8, 0.0));

@@ -19,6 +19,10 @@ tests can see (DESIGN.md "Static analysis & enforced invariants"):
       injected latency spikes above all — is *charged* to the cost-model
       SimClock (reid/cost_model.h), never slept: a real sleep would make
       wall-clock results scheduler-dependent and stall test suites.
+    - no getenv / secure_getenv under src/. The library reads no
+      environment: every knob is an explicit option or argument, so a
+      stray variable in a CI runner or a user's shell cannot change what
+      a run computes. Environment parsing belongs to the bench/ programs.
 
   hygiene
     - header guards must be TMERGE_<PATH>_H_ derived from the file path,
@@ -47,9 +51,10 @@ static-analysis job. Exit code 0 = clean, 1 = violations, 2 = usage error.
 
 A line can opt out of a named rule with a trailing comment:
     foo();  // tmerge-lint: allow(<rule>)
-where <rule> is one of: randomness, wall-clock, no-sleep, header-guard,
-using-namespace, iostream-header, event-name, naked-new. Use sparingly;
-the allowlists above are preferred for whole-file exemptions.
+where <rule> is one of: randomness, wall-clock, no-sleep, environment,
+header-guard, using-namespace, iostream-header, event-name, naked-new.
+Use sparingly; the allowlists above are preferred for whole-file
+exemptions.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ SYSTEM_CLOCK_RE = re.compile(r"\bsystem_clock\b")
 STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\b")
 SLEEP_RE = re.compile(
     r"\bsleep_for\b|\bsleep_until\b|(?<![\w:.])(?:sleep|usleep|nanosleep)\s*\(")
+GETENV_RE = re.compile(r"(?<![\w.])(?:secure_)?getenv\s*\(")
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
 # `new` as an expression head: `new T(...)`, `new T[...]`, placement new.
 # The lookbehind keeps identifiers like `renew`/`anew` and qualified names
@@ -217,6 +223,12 @@ class Linter:
                                 "sleeping is banned in src/; charge "
                                 "simulated latency to the cost-model "
                                 "SimClock (reid/cost_model.h) instead")
+            if in_src and GETENV_RE.search(code):
+                if not self.allowed(orig, "environment"):
+                    self.report(path, lineno, "environment",
+                                "getenv is banned in src/; the library "
+                                "reads no environment, so take the value "
+                                "as an option and parse it in bench/")
             if in_src:
                 for m in NAKED_NEW_RE.finditer(code):
                     kw = m.group(1)

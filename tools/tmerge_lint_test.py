@@ -77,6 +77,12 @@ class RuleFiringTest(unittest.TestCase):
         self.assert_rule("void f() { sleep(1); }", "no-sleep")
         self.assert_rule("void f() { nanosleep(&ts, nullptr); }", "no-sleep")
 
+    def test_getenv_banned(self):
+        self.assert_rule('const char* f() { return std::getenv("X"); }',
+                         "environment")
+        self.assert_rule('const char* f() { return secure_getenv("X"); }',
+                         "environment")
+
     def test_wrong_header_guard(self):
         self.assert_rule("#ifndef WRONG_H_\n#define WRONG_H_\n#endif\n",
                         "header-guard", rel="src/tmerge/x/f.h")
@@ -173,6 +179,11 @@ class NoFalsePositiveTest(unittest.TestCase):
                    "int oversleep(int x) { return x; }\n"
                    "int g() { return oversleep(1); }\n")
         self.assertEqual(run_on({"src/tmerge/x/f.cc": content}), [])
+
+    def test_getenv_allowed_in_bench_dir(self):
+        # Only the library is environment-free; bench programs parse knobs.
+        content = 'const char* f() { return std::getenv("TMERGE_OBS"); }\n'
+        self.assertEqual(run_on({"bench/f.cc": content}), [])
 
     def test_sleep_allowed_in_tests_dir(self):
         content = "void f() { std::this_thread::sleep_for(1ms); }\n"
