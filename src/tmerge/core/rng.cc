@@ -6,6 +6,38 @@
 
 namespace tmerge::core {
 
+Mt19937Engine::Mt19937Engine(result_type seed) : index_(kStateSize) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateSize; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937Engine::Twist() {
+  constexpr std::size_t kShift = 156;
+  constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLowerMask = ~kUpperMask;
+  // Word k takes its top 33 bits from state[k], its low 31 from the next
+  // word, and xors in the matrix constant when that mix is odd. The mask
+  // `0 - (y & 1)` is all ones for odd y and zero otherwise: no branch, and
+  // the loops vectorize.
+  auto mix = [](std::uint64_t hi, std::uint64_t lo, std::uint64_t far) {
+    const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+  };
+  std::size_t k = 0;
+  for (; k < kStateSize - kShift; ++k) {
+    state_[k] = mix(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] = mix(state_[k], state_[k + 1], state_[k + kShift - kStateSize]);
+  }
+  state_[kStateSize - 1] =
+      mix(state_[kStateSize - 1], state_[0], state_[kShift - 1]);
+  index_ = 0;
+}
+
 Rng Rng::Fork() {
   // Draw a fresh seed; mixing with a large odd constant decorrelates child
   // streams that are forked in sequence.
