@@ -1,6 +1,7 @@
 #include "tmerge/merge/pair_store.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "tmerge/core/status.h"
 
@@ -90,6 +91,51 @@ std::int64_t PairContext::TotalBoxPairs() const {
   return total;
 }
 
+namespace {
+
+constexpr std::int64_t kEmptyCell = -1;
+
+/// The multiplicative mixer of reid::DetectionIndex: cell ids are dense
+/// small integers, and the multiply spreads them over the table.
+std::uint64_t MixCell(std::int64_t cell) {
+  std::uint64_t key = static_cast<std::uint64_t>(cell) * 0x9e3779b97f4a7c15ull;
+  return key ^ (key >> 32);
+}
+
+}  // namespace
+
+bool BoxPairSampler::ContainsSampled(std::int64_t cell) const {
+  if (sampled_.empty()) return false;
+  const std::size_t mask = sampled_.size() - 1;
+  for (std::size_t pos = MixCell(cell) & mask; sampled_[pos] != kEmptyCell;
+       pos = (pos + 1) & mask) {
+    if (sampled_[pos] == cell) return true;
+  }
+  return false;
+}
+
+bool BoxPairSampler::InsertSampled(std::int64_t cell) {
+  if (static_cast<std::size_t>(sampled_count_ + 1) * 2 > sampled_.size()) {
+    std::vector<std::int64_t> old(std::max<std::size_t>(16, sampled_.size() * 2),
+                                  kEmptyCell);
+    old.swap(sampled_);
+    const std::size_t mask = sampled_.size() - 1;
+    for (std::int64_t kept : old) {
+      if (kept == kEmptyCell) continue;
+      std::size_t pos = MixCell(kept) & mask;
+      while (sampled_[pos] != kEmptyCell) pos = (pos + 1) & mask;
+      sampled_[pos] = kept;
+    }
+  }
+  const std::size_t mask = sampled_.size() - 1;
+  std::size_t pos = MixCell(cell) & mask;
+  for (; sampled_[pos] != kEmptyCell; pos = (pos + 1) & mask) {
+    if (sampled_[pos] == cell) return false;
+  }
+  sampled_[pos] = cell;
+  return true;
+}
+
 std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
   TMERGE_CHECK(!Exhausted());
   std::int64_t total = rows_ * cols_;
@@ -98,8 +144,7 @@ std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
   if (!dense_mode_ && sampled_count_ * 2 < total) {
     for (;;) {
       std::int64_t cell = rng.UniformInt(0, total - 1);
-      auto [it, inserted] = sampled_.emplace(cell, true);
-      if (inserted) {
+      if (InsertSampled(cell)) {
         ++sampled_count_;
         return {static_cast<std::int32_t>(cell / cols_),
                 static_cast<std::int32_t>(cell % cols_)};
@@ -110,9 +155,9 @@ std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
     dense_mode_ = true;
     remaining_.reserve(total - sampled_count_);
     for (std::int64_t cell = 0; cell < total; ++cell) {
-      if (!sampled_.contains(cell)) remaining_.push_back(cell);
+      if (!ContainsSampled(cell)) remaining_.push_back(cell);
     }
-    sampled_.clear();  // No longer needed.
+    sampled_ = {};  // No longer needed; release the table.
   }
   TMERGE_CHECK(!remaining_.empty());
   std::size_t pick = rng.Index(remaining_.size());

@@ -2,7 +2,6 @@
 #define TMERGE_MERGE_PAIR_STORE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "tmerge/merge/window.h"
@@ -109,12 +108,19 @@ class BoxPairSampler {
   std::int64_t total() const { return rows_ * cols_; }
 
  private:
+  /// Adds `cell` to sampled_; returns false if it was already there.
+  bool InsertSampled(std::int64_t cell);
+  bool ContainsSampled(std::int64_t cell) const;
+
   std::int64_t rows_;
   std::int64_t cols_;
   std::int64_t sampled_count_ = 0;
   /// Sparse record of sampled cells, used while the grid is mostly empty
-  /// (rejection sampling is cheap there).
-  std::unordered_map<std::int64_t, bool> sampled_;
+  /// (rejection sampling is cheap there): an open-addressed set of cell ids
+  /// with linear probing, power-of-two capacity, at most half full, and -1
+  /// marking empty slots. Its size follows the sampled count, not the grid,
+  /// and an insert allocates only when the table doubles.
+  std::vector<std::int64_t> sampled_;
   /// Once more than half the grid is sampled, the unsampled cells are
   /// materialized here and drawn by swap-remove (O(1) per draw), keeping
   /// full-grid consumers like PS at eta = 1 linear.

@@ -114,6 +114,37 @@ TEST(BoxPairSamplerTest, LargeGridUniformish) {
   EXPECT_GT(rows.size(), 80u);
 }
 
+TEST(BoxPairSamplerTest, PinnedSequenceAcrossDenseSwitch) {
+  // Every selector's output depends on this exact draw order: rejection
+  // sampling until half the grid is used, then swap-remove over the
+  // remaining cells in ascending order. Cells are row * cols + col,
+  // recorded when sampled cells lived in a std::unordered_map.
+  struct Grid {
+    std::int32_t rows;
+    std::int32_t cols;
+    std::vector<std::int32_t> cells;
+  };
+  const std::vector<Grid> grids = {
+      {1, 9, {3, 8, 1, 2, 0, 5, 7, 4, 6}},
+      {3, 5, {4, 0, 10, 14, 3, 12, 6, 8, 7, 9, 2, 13, 1, 5, 11}},
+      {6, 4, {22, 20, 17, 18, 11, 4, 13, 1, 12, 8, 15, 0,
+              7, 3, 6, 16, 5, 10, 19, 14, 9, 21, 2, 23}},
+      {7, 7, {48, 40, 12, 9, 26, 44, 7, 36, 30, 41, 11, 6, 3, 23, 31, 24, 47,
+              37, 13, 22, 17, 29, 33, 25, 35, 34, 39, 14, 32, 27, 18, 42, 19,
+              1, 45, 15, 10, 43, 38, 16, 0, 8, 20, 21, 4, 28, 5, 2, 46}},
+  };
+  for (const Grid& grid : grids) {
+    core::Rng rng(grid.rows * 100 + grid.cols);
+    BoxPairSampler sampler(grid.rows, grid.cols);
+    for (std::int32_t cell : grid.cells) {
+      EXPECT_EQ(sampler.Sample(rng),
+                std::make_pair(cell / grid.cols, cell % grid.cols))
+          << grid.rows << "x" << grid.cols;
+    }
+    EXPECT_TRUE(sampler.Exhausted());
+  }
+}
+
 TEST(BoxPairSamplerDeathTest, SamplingExhaustedAborts) {
   core::Rng rng(8);
   BoxPairSampler sampler(1, 2);
