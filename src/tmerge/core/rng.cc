@@ -1,10 +1,96 @@
 #include "tmerge/core/rng.h"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "tmerge/core/status.h"
 
 namespace tmerge::core {
+
+namespace {
+
+// 128-layer ziggurat for the standard normal (Marsaglia & Tsang 2000).
+// Every layer, including the base layer plus the tail beyond kZigR, has
+// area kZigV under the unnormalized density exp(-x^2 / 2).
+constexpr std::size_t kZigLayers = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigV = 9.91256303526217e-3;
+
+struct ZigguratTables {
+  /// x[i] is the right edge of layer i: x[0] = V / f(R) is the base
+  /// layer's width once the tail is folded into it, x[1] = R and
+  /// x[128] = 0 closes the top layer.
+  std::array<double, kZigLayers + 1> x;
+  /// x[i + 1] / x[i]: the part of layer i that lies wholly under the curve.
+  std::array<double, kZigLayers> ratio;
+};
+
+ZigguratTables BuildZigguratTables() {
+  auto density = [](double x) { return std::exp(-0.5 * x * x); };
+  ZigguratTables tables;
+  tables.x[0] = kZigV / density(kZigR);
+  tables.x[1] = kZigR;
+  for (std::size_t i = 2; i < kZigLayers; ++i) {
+    const double below = tables.x[i - 1];
+    tables.x[i] = std::sqrt(-2.0 * std::log(kZigV / below + density(below)));
+  }
+  tables.x[kZigLayers] = 0.0;
+  for (std::size_t i = 0; i < kZigLayers; ++i) {
+    tables.ratio[i] = tables.x[i + 1] / tables.x[i];
+  }
+  return tables;
+}
+
+const ZigguratTables& Ziggurat() {
+  static const ZigguratTables tables = BuildZigguratTables();
+  return tables;
+}
+
+/// Uniform double in (0, 1], safe to take the log of.
+double OpenUniform(Mt19937Engine& engine) {
+  return static_cast<double>((engine() >> 11) + 1) * 0x1.0p-53;
+}
+
+/// Standard normal draw. One 64-bit word drives the common case: its low
+/// 7 bits pick the layer and its top 53 bits the signed uniform. Keeping
+/// the two bit ranges disjoint avoids the layer/uniform correlation that
+/// Doornik (2005) found in the original, which took both from one 32-bit
+/// word.
+double ZigguratNormal(Mt19937Engine& engine, const ZigguratTables& zig) {
+  for (;;) {
+    const std::uint64_t bits = engine();
+    const std::size_t layer = bits & (kZigLayers - 1);
+    // Bits 11..63 as a signed integer, made odd and scaled by 2^-53: a
+    // uniform in (-1, 1), symmetric about zero and never zero.
+    const double u =
+        static_cast<double>((static_cast<std::int64_t>(bits) >> 10) | 1) *
+        0x1.0p-53;
+    const double x = u * zig.x[layer];
+    if (std::fabs(u) < zig.ratio[layer]) return x;
+    if (layer == 0) {
+      // Beyond R: Marsaglia's (1964) exponential method for the tail.
+      double tail;
+      double y;
+      do {
+        tail = std::log(OpenUniform(engine)) / kZigR;
+        y = std::log(OpenUniform(engine));
+      } while (-2.0 * y < tail * tail);
+      return u < 0.0 ? tail - kZigR : kZigR - tail;
+    }
+    // Wedge: a uniform height within the layer, relative to the density
+    // at x, is accepted when it falls under the curve.
+    const double x2 = x * x;
+    const double outer = std::exp(-0.5 * (zig.x[layer] * zig.x[layer] - x2));
+    const double inner =
+        std::exp(-0.5 * (zig.x[layer + 1] * zig.x[layer + 1] - x2));
+    const double height =
+        static_cast<double>(engine() >> 11) * 0x1.0p-53;
+    if (outer + height * (inner - outer) < 1.0) return x;
+  }
+}
+
+}  // namespace
 
 Mt19937Engine::Mt19937Engine(result_type seed) : index_(kStateSize) {
   state_[0] = seed;
@@ -77,19 +163,21 @@ bool Rng::Bernoulli(double p) {
 
 double Rng::Gamma(double shape) {
   TMERGE_CHECK(shape > 0.0);
-  // Marsaglia-Tsang squeeze method. Much faster than constructing a
-  // std::gamma_distribution per draw, which matters because TMerge draws a
-  // Beta sample (two Gammas) per live pair per iteration.
+  // Marsaglia-Tsang squeeze method over ziggurat normals. Much faster than
+  // constructing a std::gamma_distribution (or a std::normal_distribution)
+  // per draw, which matters because TMerge draws a Beta sample (two
+  // Gammas) per live pair per iteration.
   if (shape < 1.0) {
     // Boost to shape + 1 and scale back: G(a) = G(a+1) * U^(1/a).
     double u = Uniform01();
     while (u <= 0.0) u = Uniform01();
     return Gamma(shape + 1.0) * std::pow(u, 1.0 / shape);
   }
+  const ZigguratTables& zig = Ziggurat();
   const double d = shape - 1.0 / 3.0;
   const double c = 1.0 / std::sqrt(9.0 * d);
   for (;;) {
-    double x = Normal(0.0, 1.0);
+    double x = ZigguratNormal(engine_, zig);
     double t = 1.0 + c * x;
     if (t <= 0.0) continue;
     double v = t * t * t;

@@ -56,10 +56,11 @@ class Mt19937Engine {
 /// or via an Rng), which makes tests and benches reproducible bit-for-bit.
 ///
 /// The engine is the in-repo Mt19937Engine, whose output the standard
-/// fixes. The distributions on top of it are the standard library's
-/// <random> ones, whose algorithms are implementation-defined: outputs are
-/// reproducible on one standard library only. Not thread-safe; use one Rng
-/// per thread.
+/// fixes. Gamma, and so Beta, draws its standard normals from an in-repo
+/// ziggurat. Uniform01, Uniform, UniformInt, Index, Normal, Bernoulli and
+/// Poisson still use the standard library's <random> distributions, whose
+/// algorithms are implementation-defined: their outputs are reproducible
+/// on one standard library only. Not thread-safe; use one Rng per thread.
 class Rng {
  public:
   /// Constructs a generator seeded with `seed`.
