@@ -19,6 +19,12 @@ tests can see (DESIGN.md "Static analysis & enforced invariants"):
       injected latency spikes above all — is *charged* to the cost-model
       SimClock (reid/cost_model.h), never slept: a real sleep would make
       wall-clock results scheduler-dependent and stall test suites.
+    - std:: random engines and *_distribution types appear under src/
+      only in core/rng.{h,cc} (rule `rng-owner`). Rng owns the one
+      engine and every distribution on top of it, so no component can
+      grow a second sampler whose stream the determinism tests and the
+      pinned outputs do not cover, or bring back the standard library's
+      engine, whose twist branches on every word.
     - no getenv / secure_getenv under src/. The library reads no
       environment: every knob is an explicit option or argument, so a
       stray variable in a CI runner or a user's shell cannot change what
@@ -51,8 +57,9 @@ static-analysis job. Exit code 0 = clean, 1 = violations, 2 = usage error.
 
 A line can opt out of a named rule with a trailing comment:
     foo();  // tmerge-lint: allow(<rule>)
-where <rule> is one of: randomness, wall-clock, no-sleep, environment,
-header-guard, using-namespace, iostream-header, event-name, naked-new.
+where <rule> is one of: randomness, rng-owner, wall-clock, no-sleep,
+environment, header-guard, using-namespace, iostream-header, event-name,
+naked-new.
 Use sparingly; the allowlists above are preferred for whole-file
 exemptions.
 """
@@ -72,6 +79,13 @@ STEADY_CLOCK_ALLOWLIST = {
     "src/tmerge/obs/trace_clock.h",
 }
 
+# The only files under src/ that may name a std:: random engine or
+# distribution: the Rng wrapper every randomized component draws through.
+RNG_OWNER_ALLOWLIST = {
+    "src/tmerge/core/rng.h",
+    "src/tmerge/core/rng.cc",
+}
+
 HEADER_EXTENSIONS = {".h", ".hpp", ".hh"}
 SOURCE_EXTENSIONS = HEADER_EXTENSIONS | {".cc", ".cpp", ".cxx"}
 
@@ -79,6 +93,10 @@ ALLOW_RE = re.compile(r"tmerge-lint:\s*allow\(([a-z-]+)\)")
 
 RANDOMNESS_RE = re.compile(
     r"std::random_device|\brandom_device\b|(?<![\w:.])s?rand\s*\(")
+RNG_OWNER_RE = re.compile(
+    r"\bstd::(?:\w+_distribution|mt19937(?:_64)?|minstd_rand0?|"
+    r"ranlux(?:24|48)(?:_base)?|knuth_b|default_random_engine|"
+    r"\w+_engine|generate_canonical)\b")
 SYSTEM_CLOCK_RE = re.compile(r"\bsystem_clock\b")
 STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\b")
 SLEEP_RE = re.compile(
@@ -204,6 +222,13 @@ class Linter:
                                 "ambient randomness is banned in src/; "
                                 "derive draws from an explicit seed via "
                                 "core/rng.h")
+            if (in_src and str(rel) not in RNG_OWNER_ALLOWLIST
+                    and RNG_OWNER_RE.search(code)):
+                if not self.allowed(orig, "rng-owner"):
+                    self.report(path, lineno, "rng-owner",
+                                "std:: random engines and distributions "
+                                "belong in core/rng.{h,cc}; draw through "
+                                "core::Rng")
             if in_src and SYSTEM_CLOCK_RE.search(code):
                 if not self.allowed(orig, "wall-clock"):
                     self.report(path, lineno, "wall-clock",

@@ -54,6 +54,12 @@ class RuleFiringTest(unittest.TestCase):
     def test_srand_banned(self):
         self.assert_rule("void f() { srand(42); }", "randomness")
 
+    def test_std_engine_outside_rng_banned(self):
+        self.assert_rule(
+            "double f() { std::mt19937_64 e(1);"
+            " return std::normal_distribution<double>()(e); }",
+            "rng-owner")
+
     def test_system_clock_banned(self):
         self.assert_rule(
             "auto f() { return std::chrono::system_clock::now(); }",
@@ -243,6 +249,12 @@ class NoFalsePositiveTest(unittest.TestCase):
         content = ('void f() { TMERGE_SPAN("Legacy.Name"); }'
                    '  // tmerge-lint: allow(event-name)\n')
         self.assertEqual(run_on({"src/tmerge/x/f.cc": content}), [])
+
+    def test_std_distributions_allowed_in_rng(self):
+        content = ("double Rng::Normal(double m, double s) {\n"
+                   "  return std::normal_distribution<double>(m, s)(engine_);\n"
+                   "}\n")
+        self.assertEqual(run_on({"src/tmerge/core/rng.cc": content}), [])
 
     def test_steady_clock_allowlist_is_trace_clock_only(self):
         self.assertEqual(tmerge_lint.STEADY_CLOCK_ALLOWLIST,
