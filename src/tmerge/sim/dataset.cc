@@ -93,7 +93,10 @@ Dataset MakeDataset(DatasetProfile profile, std::int32_t num_videos,
   core::Rng rng(seed ^ 0xD5DA7A5E7ULL);
   for (std::int32_t i = 0; i < num_videos; ++i) {
     VideoConfig config = ProfileConfig(profile);
-    config.name += "_" + std::to_string(i);
+    // Two appends, not `+= "_" + to_string(i)`: GCC 12 at -O3 reports a
+    // false -Wrestrict on the temporary concatenation.
+    config.name += '_';
+    config.name += std::to_string(i);
     // Vary scene density across videos to emulate distinct scenes.
     config.initial_objects += static_cast<std::int32_t>(rng.UniformInt(-2, 3));
     if (config.initial_objects < 2) config.initial_objects = 2;
