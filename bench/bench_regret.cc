@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "tmerge/core/table_printer.h"
@@ -36,11 +37,13 @@ void Run() {
   options.k_fraction = 1.0;
   reid::FeatureCache bl_cache;
   baseline.Select(context, *prepared.model, bl_cache, options);
-  double s_min = *std::min_element(baseline.last_scores().begin(),
-                                   baseline.last_scores().end());
+  // last_scores() returns a copy; take one, so both iterators below point
+  // into the same vector.
+  const std::vector<double> scores = baseline.last_scores();
+  double s_min = *std::min_element(scores.begin(), scores.end());
   double s_mean = 0.0;
-  for (double s : baseline.last_scores()) s += 0.0, s_mean += s;
-  s_mean /= static_cast<double>(baseline.last_scores().size());
+  for (double s : scores) s_mean += s;
+  s_mean /= static_cast<double>(scores.size());
 
   std::cout << "=== Regret of the sampling sequence (paper SIV-E, Eq. 11) "
                "===\n";
