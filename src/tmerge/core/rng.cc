@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <random>
 
 #include "tmerge/core/status.h"
 
@@ -84,8 +85,7 @@ double ZigguratNormal(Mt19937Engine& engine, const ZigguratTables& zig) {
     const double outer = std::exp(-0.5 * (zig.x[layer] * zig.x[layer] - x2));
     const double inner =
         std::exp(-0.5 * (zig.x[layer + 1] * zig.x[layer + 1] - x2));
-    const double height =
-        static_cast<double>(engine() >> 11) * 0x1.0p-53;
+    const double height = static_cast<double>(engine() >> 11) * 0x1.0p-53;
     if (outer + height * (inner - outer) < 1.0) return x;
   }
 }
@@ -164,9 +164,9 @@ bool Rng::Bernoulli(double p) {
 double Rng::Gamma(double shape) {
   TMERGE_CHECK(shape > 0.0);
   // Marsaglia-Tsang squeeze method over ziggurat normals. Much faster than
-  // constructing a std::gamma_distribution (or a std::normal_distribution)
-  // per draw, which matters because TMerge draws a Beta sample (two
-  // Gammas) per live pair per iteration.
+  // constructing a standard-library gamma or normal distribution per draw,
+  // which matters because TMerge draws a Beta sample (two Gammas) per live
+  // pair per iteration.
   if (shape < 1.0) {
     // Boost to shape + 1 and scale back: G(a) = G(a+1) * U^(1/a).
     double u = Uniform01();

@@ -4,16 +4,16 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <random>
+#include <utility>
 #include <vector>
 
 namespace tmerge::core {
 
 /// MT19937-64 (Matsumoto & Nishimura 2000), the engine the C++ standard
-/// names std::mt19937_64. [rand.predef] fixes its output for every seed, so
-/// this class and std::mt19937_64 produce the same sequence on any standard
-/// library; rng_test.cc checks that over many seeds and the standard's
-/// 10,000th-output value.
+/// calls mt19937_64. [rand.predef] fixes its output for every seed, so this
+/// class and the standard library's engine produce the same sequence on any
+/// standard library; rng_test.cc checks that over many seeds and the
+/// standard's 10,000th-output value.
 ///
 /// It exists because libstdc++ selects the twist constant with
 /// `(y & 1) ? a : 0`, which GCC compiles to a branch that mispredicts on
@@ -27,7 +27,7 @@ class Mt19937Engine {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  /// Seeds like std::mt19937_64(seed).
+  /// Seeds like the standard library's mt19937_64(seed).
   explicit Mt19937Engine(result_type seed);
 
   /// Next tempered 64-bit output.
@@ -85,8 +85,8 @@ class Rng {
 
   /// Normal (Gaussian) sample with the given mean and standard deviation.
   ///
-  /// Deliberately left as a fresh std::normal_distribution per call, which
-  /// discards the polar method's spare value. Its outputs are the simulated
+  /// Deliberately left as a fresh standard-library normal distribution per
+  /// call, which discards the polar method's spare value. Its outputs are the simulated
   /// scenes, detections and ReID features behind every pinned benchmark
   /// number and dataset fingerprint; caching the spare or switching it to
   /// the ziggurat would silently regenerate all of them.

@@ -102,37 +102,35 @@ std::uint64_t MixCell(std::int64_t cell) {
   return key ^ (key >> 32);
 }
 
+/// Linear probe: the slot holding `cell`, or the empty slot where it goes.
+std::size_t FindSlot(const std::vector<std::int64_t>& table,
+                     std::int64_t cell) {
+  const std::size_t mask = table.size() - 1;
+  std::size_t pos = MixCell(cell) & mask;
+  while (table[pos] != kEmptyCell && table[pos] != cell) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
 }  // namespace
 
 bool BoxPairSampler::ContainsSampled(std::int64_t cell) const {
-  if (sampled_.empty()) return false;
-  const std::size_t mask = sampled_.size() - 1;
-  for (std::size_t pos = MixCell(cell) & mask; sampled_[pos] != kEmptyCell;
-       pos = (pos + 1) & mask) {
-    if (sampled_[pos] == cell) return true;
-  }
-  return false;
+  return !sampled_.empty() && sampled_[FindSlot(sampled_, cell)] == cell;
 }
 
 bool BoxPairSampler::InsertSampled(std::int64_t cell) {
   if (static_cast<std::size_t>(sampled_count_ + 1) * 2 > sampled_.size()) {
-    std::vector<std::int64_t> old(std::max<std::size_t>(16, sampled_.size() * 2),
-                                  kEmptyCell);
+    std::vector<std::int64_t> old(
+        std::max<std::size_t>(16, sampled_.size() * 2), kEmptyCell);
     old.swap(sampled_);
-    const std::size_t mask = sampled_.size() - 1;
     for (std::int64_t kept : old) {
-      if (kept == kEmptyCell) continue;
-      std::size_t pos = MixCell(kept) & mask;
-      while (sampled_[pos] != kEmptyCell) pos = (pos + 1) & mask;
-      sampled_[pos] = kept;
+      if (kept != kEmptyCell) sampled_[FindSlot(sampled_, kept)] = kept;
     }
   }
-  const std::size_t mask = sampled_.size() - 1;
-  std::size_t pos = MixCell(cell) & mask;
-  for (; sampled_[pos] != kEmptyCell; pos = (pos + 1) & mask) {
-    if (sampled_[pos] == cell) return false;
-  }
-  sampled_[pos] = cell;
+  std::int64_t& slot = sampled_[FindSlot(sampled_, cell)];
+  if (slot == cell) return false;
+  slot = cell;
   return true;
 }
 
