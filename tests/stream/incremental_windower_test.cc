@@ -80,7 +80,9 @@ TEST(IncrementalWindowerTest, MatchesBatchWindows) {
     ExpectSameWindows(streamed, merge::BuildWindows(result, config));
     // The point of incremental closure: most windows must not wait for the
     // end of the stream.
-    if (streamed.size() > 2) EXPECT_GT(closed_early, 0u);
+    if (streamed.size() > 2) {
+      EXPECT_GT(closed_early, 0u);
+    }
   }
 }
 
