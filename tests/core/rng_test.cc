@@ -286,10 +286,11 @@ double KsDistance(std::vector<double> samples, Cdf cdf) {
 /// binomial term taken in log space so none underflows early.
 class BetaCdf {
  public:
-  BetaCdf(int a, int b) : a_(a), n_(a + b - 1), log_choose_(n_ + 1) {
-    for (int j = 0; j <= n_; ++j) {
-      log_choose_[j] = std::lgamma(n_ + 1.0) - std::lgamma(j + 1.0) -
-                       std::lgamma(n_ - j + 1.0);
+  BetaCdf(int a, int b) : a_(a), n_(a + b - 1), log_choose_(n_ + 1, 0.0) {
+    // log C(n, j) = log C(n, j - 1) + log((n - j + 1) / j).
+    for (int j = 1; j <= n_; ++j) {
+      log_choose_[j] = log_choose_[j - 1] +
+                       std::log(static_cast<double>(n_ - j + 1) / j);
     }
   }
 
