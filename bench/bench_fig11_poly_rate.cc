@@ -33,7 +33,7 @@ void Run() {
     merge::SelectorOptions options;
     options.k_fraction = 0.10;
     merge::EvalResult eval =
-        merge::EvaluateSelectorOnVideos(env.prepared, selector, options);
+        merge::EvaluateDataset(env.prepared, selector, options);
 
     std::int64_t pairs = env.TotalPairs();
     std::int64_t poly = env.TotalTruth();

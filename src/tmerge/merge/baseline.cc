@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "tmerge/core/mutex.h"
-#include "tmerge/core/sim_clock.h"
 #include "tmerge/reid/distance_kernels.h"
 
 namespace tmerge::merge {
@@ -16,7 +15,6 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
                                          const reid::ReidModel& model,
                                          reid::FeatureCache& cache,
                                          const SelectorOptions& options) {
-  core::WallTimer timer;
   reid::InferenceMeter meter(options.cost_model);
   const bool batched = options.batch_size > 1;
   const std::size_t num_pairs = context.num_pairs();
@@ -102,7 +100,6 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
   }
   result.simulated_seconds = meter.elapsed_seconds();
   result.usage = meter.stats();
-  result.wall_seconds = timer.Seconds();
   return result;
 }
 

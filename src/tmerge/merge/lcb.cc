@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
 
 namespace tmerge::merge {
@@ -17,7 +16,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
                                     const reid::ReidModel& model,
                                     reid::FeatureCache& cache,
                                     const SelectorOptions& options) {
-  core::WallTimer timer;
   reid::InferenceMeter meter(options.cost_model);
   // Per-window fault tolerance, charge-identical to the bare cache until a
   // failpoint fires (see reid/reid_guard.h).
@@ -29,10 +27,7 @@ SelectionResult LcbSelector::Select(const PairContext& context,
       internal::ScaledBudget(tau_max_, options.budget_scale);
 
   SelectionResult result;
-  if (num_pairs == 0) {
-    result.wall_seconds = timer.Seconds();
-    return result;
-  }
+  if (num_pairs == 0) return result;
 
   std::vector<BoxPairSampler> samplers;
   samplers.reserve(num_pairs);
@@ -114,7 +109,6 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   result.usage = meter.stats();
   result.reid_retries = guard.retries();
   result.degraded = guard.breaker_open();
-  result.wall_seconds = timer.Seconds();
   return result;
 }
 

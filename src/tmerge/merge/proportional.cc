@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
 
 namespace tmerge::merge {
@@ -18,7 +17,6 @@ ProportionalSelector::ProportionalSelector(double eta) : eta_(eta) {
 SelectionResult ProportionalSelector::Select(
     const PairContext& context, const reid::ReidModel& model,
     reid::FeatureCache& cache, const SelectorOptions& options) {
-  core::WallTimer timer;
   reid::InferenceMeter meter(options.cost_model);
   core::Rng rng(options.seed ^ 0x9051ULL);
   const bool batched = options.batch_size > 1;
@@ -90,7 +88,6 @@ SelectionResult ProportionalSelector::Select(
       context, scores, TopKCount(options.k_fraction, num_pairs));
   result.simulated_seconds = meter.elapsed_seconds();
   result.usage = meter.stats();
-  result.wall_seconds = timer.Seconds();
   return result;
 }
 

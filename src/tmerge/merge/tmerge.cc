@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tmerge/core/beta.h"
-#include "tmerge/core/sim_clock.h"
 #include "tmerge/core/status.h"
 #include "tmerge/obs/span.h"
 
@@ -134,7 +133,6 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
                                        const reid::ReidModel& model,
                                        reid::FeatureCache& cache,
                                        const SelectorOptions& options) {
-  core::WallTimer timer;
   reid::InferenceMeter meter(options.cost_model);
   // Per-window fault tolerance: every feature pull goes through the guard,
   // which is charge-identical to the bare cache until a failpoint fires.
@@ -147,10 +145,7 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
       internal::ScaledBudget(options_.tau_max, options.budget_scale);
 
   SelectionResult result;
-  if (num_pairs == 0) {
-    result.wall_seconds = timer.Seconds();
-    return result;
-  }
+  if (num_pairs == 0) return result;
 
   // --- Initialization: BetaInit (Algorithm 3) or flat Beta(1, 1). ---
   std::vector<PairBandit> bandits(num_pairs);
@@ -283,7 +278,6 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
   result.usage = meter.stats();
   result.reid_retries = guard.retries();
   result.degraded = guard.breaker_open();
-  result.wall_seconds = timer.Seconds();
   TMERGE_OBS(RecordBanditObs(
       tau, bandits,
       internal::UlbCounts{result.ulb_pruned_in, result.ulb_pruned_out}));

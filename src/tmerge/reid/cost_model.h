@@ -63,6 +63,7 @@ struct UsageStats {
   }
 
   UsageStats& operator+=(const UsageStats& other);
+  bool operator==(const UsageStats& other) const = default;
 };
 
 /// Charges operations against a CostModel and accumulates both simulated

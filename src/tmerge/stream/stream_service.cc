@@ -452,6 +452,7 @@ void StreamService::ExecuteChain(MergeJob job) {
           static obs::Histogram& latency = obs::DefaultRegistry().GetHistogram(
               "stream.ingest_to_result.seconds");
           latency.Record(outcome.latency_seconds);
+          merge::PublishWindowObs(outcome.selection, outcome.window_pairs);
         });
         camera.outcomes.push_back(std::move(outcome));
       }
@@ -493,11 +494,8 @@ std::vector<StreamService::WindowOutcome> StreamService::RunMergeJob(
   outcomes.reserve(job.windows.size());
   for (PendingWindow& pending : job.windows) {
     merge::SelectorOptions options = config_.selector;
-    // The batch pipeline's per-window derivation, verbatim — this is what
-    // makes every streamed SelectionResult bit-identical to its batch
-    // counterpart (EvaluateSelector in merge/pipeline.cc).
     options.seed =
-        config_.selector.seed + 1009 * (pending.window.window_index + 1);
+        merge::WindowSeed(config_.selector.seed, pending.window.window_index);
     if (embed_scheduler_) options.embed_scheduler = embed_scheduler_.get();
     merge::PairContext context(job.tracks, pending.window.pairs);
     WindowOutcome outcome;
@@ -596,16 +594,8 @@ StreamResult StreamService::BuildResultLocked() {
     // EvaluateSelector's per-window loop.
     std::set<metrics::TrackPairKey> selected;
     for (const WindowOutcome& outcome : camera.outcomes) {
-      const merge::SelectionResult& selection = outcome.selection;
-      per.simulated_seconds += selection.simulated_seconds;
-      per.usage += selection.usage;
-      per.box_pairs_evaluated += selection.box_pairs_evaluated;
-      per.failed_pulls += selection.failed_pulls;
-      per.reid_retries += selection.reid_retries;
-      if (selection.degraded) ++per.degraded_windows;
-      per.pairs += outcome.window_pairs;
-      ++per.windows;
-      for (const metrics::TrackPairKey& pair : selection.candidates) {
+      per.AddWindow(outcome.selection, outcome.window_pairs);
+      for (const metrics::TrackPairKey& pair : outcome.selection.candidates) {
         selected.insert(pair);
       }
       per.window_close_latency_seconds.push_back(outcome.latency_seconds);
@@ -613,14 +603,7 @@ StreamResult StreamService::BuildResultLocked() {
     per.candidates.assign(selected.begin(), selected.end());
 
     // Camera-order reduction — EvaluateDataset's video-order sequence.
-    out.simulated_seconds += per.simulated_seconds;
-    out.usage += per.usage;
-    out.box_pairs_evaluated += per.box_pairs_evaluated;
-    out.failed_pulls += per.failed_pulls;
-    out.reid_retries += per.reid_retries;
-    out.degraded_windows += per.degraded_windows;
-    out.windows += per.windows;
-    out.pairs += per.pairs;
+    out.Add(per);
     out.frames_ingested += per.frames_ingested;
     out.frames_dropped += per.frames_dropped;
     out.tracks_finalized += per.tracks_finalized;

@@ -29,10 +29,9 @@ struct StreamServiceConfig {
   MergeDirectorConfig director;
   /// Windowing applied per camera (the same knobs as the batch pipeline).
   merge::WindowConfig window;
-  /// Selector options shared by every merge job. Per-window seeds are
-  /// derived exactly as merge::EvaluateSelector derives them
-  /// (seed + 1009 * (window_index + 1)), which is what makes streamed
-  /// SelectionResults bit-identical to the batch pipeline's.
+  /// Selector options shared by every merge job. Per-window seeds come
+  /// from merge::WindowSeed, as in merge::EvaluateSelector, which is what
+  /// makes streamed SelectionResults bit-identical to the batch pipeline's.
   merge::SelectorOptions selector;
   /// Merge-job workers: 0 = hardware_concurrency, 1 = run merge jobs
   /// inline on the ingesting thread (the serial reference path; results
@@ -96,23 +95,16 @@ enum class IngestOutcome : std::uint8_t {
   kRejected = 3,
 };
 
-/// Everything the service accumulated for one camera, reduced in window
-/// order (the same floating-point accumulation order as the batch
-/// EvaluateSelector, so the totals are bit-comparable).
-struct CameraStreamResult {
+/// Everything the service accumulated for one camera. The WorkTally base
+/// is folded in window order (the same floating-point accumulation order
+/// as the batch EvaluateSelector, so SameWork against the batch
+/// EvalResult holds bit for bit).
+struct CameraStreamResult : merge::WorkTally {
   std::int32_t camera_id = 0;
   /// Dedup-sorted union of selected candidates across the camera's
   /// windows — elementwise equal to the batch EvalResult::candidates for
   /// the same video, selector and seeds.
   std::vector<metrics::TrackPairKey> candidates;
-  reid::UsageStats usage;
-  double simulated_seconds = 0.0;
-  std::int64_t windows = 0;  ///< Windows with a nonempty pair set.
-  std::int64_t pairs = 0;
-  std::int64_t box_pairs_evaluated = 0;
-  std::int64_t failed_pulls = 0;
-  std::int64_t reid_retries = 0;
-  std::int64_t degraded_windows = 0;
   std::int64_t frames_ingested = 0;
   std::int64_t frames_dropped = 0;
   std::int64_t tracks_finalized = 0;
@@ -123,19 +115,11 @@ struct CameraStreamResult {
   std::vector<double> window_close_latency_seconds;
 };
 
-/// Aggregated outcome of a whole streaming session.
-struct StreamResult {
+/// Aggregated outcome of a whole streaming session. The WorkTally base is
+/// the ordered reduction over cameras (camera order, then window order) —
+/// the batch EvaluateDataset accumulation sequence.
+struct StreamResult : merge::WorkTally {
   std::vector<CameraStreamResult> cameras;
-  // Ordered reduction over cameras (camera order, then window order) —
-  // the batch EvaluateDataset accumulation sequence.
-  reid::UsageStats usage;
-  double simulated_seconds = 0.0;
-  std::int64_t windows = 0;
-  std::int64_t pairs = 0;
-  std::int64_t box_pairs_evaluated = 0;
-  std::int64_t failed_pulls = 0;
-  std::int64_t reid_retries = 0;
-  std::int64_t degraded_windows = 0;
   std::int64_t frames_ingested = 0;
   std::int64_t frames_dropped = 0;
   std::int64_t tracks_finalized = 0;

@@ -7,10 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "tmerge/detect/detection_simulator.h"
+#include "tmerge/gate/gated_selector.h"
 #include "tmerge/merge/pipeline.h"
 #include "tmerge/merge/tmerge.h"
 #include "tmerge/obs/metrics.h"
+#include "tmerge/reid/synthetic_reid_model.h"
 #include "tmerge/sim/dataset.h"
+#include "tmerge/stream/stream_service.h"
 #include "tmerge/track/sort_tracker.h"
 
 namespace tmerge {
@@ -94,6 +102,86 @@ TEST(InstrumentationTest, PipelineRecordsDocumentedMetrics) {
   // summed field can only exceed elapsed when videos overlap in real time.
   EXPECT_GT(eval.elapsed_seconds, 0.0);
   EXPECT_GE(eval.summed_wall_seconds, 0.0);
+#endif
+}
+
+// The stream path folds its windows into the same counters as the batch
+// path: a gated multi-camera session exports evaluate.*, reid.*, gate.* and
+// pipeline.* counters equal to its StreamResult tally.
+TEST(InstrumentationTest, StreamRecordsTheSameWindowCounters) {
+#ifdef TMERGE_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out";
+#else
+  sim::Dataset dataset =
+      sim::MakeDataset(sim::DatasetProfile::kKittiLike, 2, /*seed=*/7);
+  merge::TMergeSelector tmerge;
+  gate::GateConfig gate_config;
+  gate_config.enabled = true;
+  gate::GatedSelector selector(tmerge, gate_config);
+  stream::StreamServiceConfig config;
+  config.window.length = 120;
+  config.num_threads = 2;
+
+  obs::SetEnabled(true);
+  obs::DefaultRegistry().Reset();
+  stream::StreamService service(config, selector);
+  std::vector<detect::DetectionSequence> detections;
+  std::int32_t max_frames = 0;
+  for (std::size_t i = 0; i < dataset.videos.size(); ++i) {
+    const sim::SyntheticVideo& video = dataset.videos[i];
+    detections.push_back(
+        detect::SimulateDetections(video, detect::DetectorConfig{}, i + 1));
+    stream::CameraConfig camera;
+    camera.num_frames = video.num_frames;
+    camera.frame_width = detections.back().frame_width;
+    camera.frame_height = detections.back().frame_height;
+    camera.fps = detections.back().fps;
+    camera.model = std::make_shared<reid::SyntheticReidModel>(
+        video, reid::ReidModelConfig{}, i + 1);
+    service.AddCamera(camera);
+    max_frames = std::max(max_frames, video.num_frames);
+  }
+  double now = 0.0;
+  for (std::int32_t f = 0; f < max_frames; ++f) {
+    for (std::size_t cam = 0; cam < detections.size(); ++cam) {
+      if (f >= detections[cam].num_frames) continue;
+      now += 1.0 / 30.0;
+      while (service.IngestFrame(static_cast<std::int32_t>(cam),
+                                 detections[cam].frames[f], now) ==
+             stream::IngestOutcome::kBackpressure) {
+        now += 0.5;
+      }
+    }
+  }
+  stream::StreamResult result = service.Finish(now + 1.0);
+  obs::RegistrySnapshot snapshot = obs::DefaultRegistry().Snapshot();
+  obs::SetEnabled(false);
+
+  ASSERT_GT(result.windows, 0);
+  ASSERT_GT(result.usage.gate_ambiguous, 0);
+  EXPECT_EQ(snapshot.counters.at("evaluate.windows"), result.windows);
+  EXPECT_EQ(snapshot.counters.at("evaluate.pairs_scanned"), result.pairs);
+  EXPECT_EQ(snapshot.counters.at("evaluate.box_pairs_evaluated"),
+            result.box_pairs_evaluated);
+  EXPECT_EQ(snapshot.counters.at("reid.inferences.single"),
+            result.usage.single_inferences);
+  EXPECT_EQ(snapshot.counters.at("reid.inferences.batched_crops"),
+            result.usage.batched_crops);
+  EXPECT_EQ(snapshot.counters.at("reid.batch_calls"),
+            result.usage.batch_calls);
+  EXPECT_EQ(snapshot.counters.at("reid.distance_evals"),
+            result.usage.distance_evals);
+  EXPECT_EQ(snapshot.counters.at("reid.cache.hits"), result.usage.cache_hits);
+  EXPECT_EQ(snapshot.counters.at("reid.cache.misses"),
+            result.usage.TotalInferences());
+  EXPECT_EQ(snapshot.counters.at("gate.accepted"), result.usage.gate_accepted);
+  EXPECT_EQ(snapshot.counters.at("gate.rejected"), result.usage.gate_rejected);
+  EXPECT_EQ(snapshot.counters.at("gate.ambiguous"),
+            result.usage.gate_ambiguous);
+  EXPECT_EQ(snapshot.counters.at("pipeline.failed_pulls"),
+            result.failed_pulls);
+  EXPECT_EQ(snapshot.counters.at("pipeline.degraded_windows"),
+            result.degraded_windows);
 #endif
 }
 

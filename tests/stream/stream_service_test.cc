@@ -135,25 +135,13 @@ void ExpectMatchesBatch(const StreamResult& stream,
     const CameraStreamResult& camera = stream.cameras[i];
     const merge::EvalResult& batch = ref.per_video[i];
     EXPECT_EQ(camera.candidates, batch.candidates);
-    EXPECT_EQ(camera.simulated_seconds, batch.simulated_seconds);
-    EXPECT_EQ(camera.windows, batch.windows);
-    EXPECT_EQ(camera.pairs, batch.pairs);
-    EXPECT_EQ(camera.box_pairs_evaluated, batch.box_pairs_evaluated);
-    EXPECT_EQ(camera.usage.single_inferences, batch.usage.single_inferences);
-    EXPECT_EQ(camera.usage.batched_crops, batch.usage.batched_crops);
-    EXPECT_EQ(camera.usage.batch_calls, batch.usage.batch_calls);
-    EXPECT_EQ(camera.usage.distance_evals, batch.usage.distance_evals);
-    EXPECT_EQ(camera.usage.cache_hits, batch.usage.cache_hits);
+    EXPECT_TRUE(camera.SameWork(batch));
     EXPECT_EQ(camera.tracks_finalized,
               static_cast<std::int64_t>(ref.prepared[i].tracking.tracks.size()));
     EXPECT_EQ(camera.window_close_latency_seconds.size(),
               static_cast<std::size_t>(camera.windows));
   }
-  EXPECT_EQ(stream.simulated_seconds, ref.total.simulated_seconds);
-  EXPECT_EQ(stream.windows, ref.total.windows);
-  EXPECT_EQ(stream.pairs, ref.total.pairs);
-  EXPECT_EQ(stream.usage.distance_evals, ref.total.usage.distance_evals);
-  EXPECT_EQ(stream.usage.cache_hits, ref.total.usage.cache_hits);
+  EXPECT_TRUE(stream.SameWork(ref.total));
 }
 
 class StreamServiceTest : public ::testing::Test {
