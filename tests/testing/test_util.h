@@ -5,10 +5,27 @@
 #include <vector>
 
 #include "tmerge/core/geometry.h"
+#include "tmerge/merge/selector.h"
 #include "tmerge/sim/world.h"
 #include "tmerge/track/track.h"
 
 namespace tmerge::testing {
+
+/// Every integer counter of `tally`, in declaration order. The exact-arity
+/// bindings stop compiling when WorkTally or UsageStats gains a field, so
+/// a field-by-field check over this list cannot silently skip it.
+inline std::vector<std::int64_t*> TallyCounters(merge::WorkTally& tally) {
+  auto& [usage, simulated_seconds, windows, pairs, box_pairs_evaluated,
+         failed_pulls, reid_retries, degraded_windows] = tally;
+  auto& [single_inferences, batched_crops, batch_calls, distance_evals,
+         cache_hits, failed_embeds, gate_accepted, gate_rejected,
+         gate_ambiguous] = usage;
+  (void)simulated_seconds;  // The one floating-point field, checked apart.
+  return {&single_inferences, &batched_crops, &batch_calls, &distance_evals,
+          &cache_hits,        &failed_embeds, &gate_accepted, &gate_rejected,
+          &gate_ambiguous,    &windows,       &pairs, &box_pairs_evaluated,
+          &failed_pulls,      &reid_retries,  &degraded_windows};
+}
 
 /// Builds a track with `count` boxes on consecutive frames starting at
 /// `first_frame`, moving right by `dx` per frame, all attributed to GT
