@@ -2,10 +2,11 @@
 // selectors: Beta sampling, Hungarian assignment, Kalman filtering,
 // synthetic ReID embedding + distance, one TMerge Thompson round — plus
 // the slab/kernel hot path this repo optimizes: distance kernels (scalar
-// reference vs unrolled), a one-vs-many distance row (seed-style
-// unordered_map lookup + per-pair scalar sqrt vs slab gather +
-// OneVsManySquared + NormalizedFromSquared), and cache lookups
-// (unordered_map vs the open-addressed DetectionIndex).
+// reference vs unrolled), one BL track-pair sweep (seed-style
+// unordered_map lookup + per-pair scalar sqrt vs slab gather + column
+// gather + the fused SumNormalizedDistances sweep), the sweep itself on
+// both kernel paths, and cache lookups (unordered_map vs the
+// open-addressed DetectionIndex).
 //
 // `bench_micro --json-only` skips the google-benchmark suite and instead
 // times the comparison pairs with a fixed deterministic harness, emitting
@@ -214,10 +215,10 @@ struct FixedScaleModel final : SeedScaleModel {
 /// FeatureDistance with per-call sqrt plus a virtual
 /// normalization_scale() read. The current way: features in the slab
 /// arena, gathered as raw rows through DetectionIndex into scratch
-/// reused across pairs, then one OneVsManySquared call per row + one
-/// batched NormalizedFromSquaredMany epilogue. Both sides pay their own
-/// lookup and allocation traffic; accumulation order is identical, so
-/// the two sums must match bit for bit.
+/// reused across pairs, the B side transposed by GatherColumns, then one
+/// fused SumNormalizedDistances sweep per A row — BL's inner loop. Both
+/// sides pay their own lookup and allocation traffic; accumulation order
+/// is identical, so the two sums must match bit for bit.
 struct PairFixture {
   PairFixture() {
     core::Rng rng(41);
@@ -232,7 +233,7 @@ struct PairFixture {
     }
     slab_a.reserve(kBoxes);
     slab_b.reserve(kBoxes);
-    row.resize(kBoxes);
+    columns.resize(kBoxes * kDim);
   }
 
   std::unordered_map<std::uint64_t, reid::FeatureVector> map;
@@ -242,7 +243,7 @@ struct PairFixture {
   FixedScaleModel seed_model;
   std::uint64_t cache_hits = 0;
   std::vector<const double*> slab_a, slab_b;
-  std::vector<double> row;
+  std::vector<double> columns;
 };
 
 double SeedPair(PairFixture& f) {
@@ -280,35 +281,12 @@ double SlabPair(PairFixture& f) {
     f.slab_b.push_back(f.store.Data(f.index.Find(f.ids[kBoxes + i])));
     ++f.cache_hits;
   }
+  reid::kernels::GatherColumns(f.slab_b.data(), kBoxes, kDim,
+                               f.columns.data());
   double sum = 0.0;
   for (const double* fa : f.slab_a) {
-    reid::kernels::OneVsManySquared(fa, f.slab_b.data(), kBoxes, kDim,
-                                    f.row.data());
-    reid::kernels::NormalizedFromSquaredMany(f.row.data(), kBoxes, kScale,
-                                             f.row.data());
-    for (double d : f.row) sum += d;
-  }
-  return sum;
-}
-
-/// The ranking-only fast path layered on top of the same gather: squared
-/// distances with no per-pair sqrt at all (legal when only the order or
-/// a single-distance threshold matters; DESIGN.md §10 spells out where
-/// that is and is not safe).
-double SlabSquaredPair(PairFixture& f) {
-  f.slab_a.clear();
-  f.slab_b.clear();
-  for (std::size_t i = 0; i < kBoxes; ++i) {
-    f.slab_a.push_back(f.store.Data(f.index.Find(f.ids[i])));
-    ++f.cache_hits;
-    f.slab_b.push_back(f.store.Data(f.index.Find(f.ids[kBoxes + i])));
-    ++f.cache_hits;
-  }
-  double sum = 0.0;
-  for (const double* fa : f.slab_a) {
-    reid::kernels::OneVsManySquared(fa, f.slab_b.data(), kBoxes, kDim,
-                                    f.row.data());
-    for (double sq : f.row) sum += sq;
+    sum = reid::kernels::SumNormalizedDistances(fa, f.columns.data(), kBoxes,
+                                                kDim, kScale, sum);
   }
   return sum;
 }
@@ -394,16 +372,6 @@ void BM_PairGridSlabVectorized(benchmark::State& state) {
 }
 BENCHMARK(BM_PairGridSlabVectorized);
 
-void BM_PairGridSlabSquared(benchmark::State& state) {
-  ScopedKernelMode mode(/*scalar=*/false);
-  PairFixture f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SlabSquaredPair(f));
-  }
-  state.SetItemsProcessed(state.iterations() * kBoxes * kBoxes);
-}
-BENCHMARK(BM_PairGridSlabSquared);
-
 void BM_CacheLookupMap(benchmark::State& state) {
   LookupFixture f(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -467,10 +435,11 @@ void ResetPeakRss() {
   std::fclose(clear);
 }
 
-/// The exact one-vs-many sweep (kernel + normalize epilogue) timed on the
-/// scalar reference and on the SSE2 path, with the bit-identity contract
-/// checked on the shipping binary: the SSE2 output must equal the scalar
-/// reference byte for byte.
+/// BL's fused sweep over 4096 gathered columns, timed on the scalar
+/// reference and on the fast path, with the bit-identity contract checked
+/// on the shipping binary: the two sums must be equal byte for byte.
+/// `avx2` records which fast path this host ran (1 = the AVX2 sweep,
+/// 0 = the scalar loop again, on a CPU without AVX2).
 void RunKernelSweepSection() {
   ResetPeakRss();
   constexpr std::size_t kRows = 4096;
@@ -490,34 +459,35 @@ void RunKernelSweepSection() {
   }
   const double* query =
       store.Data(reid::FeatureRef{static_cast<std::uint32_t>(kRows)});
+  std::vector<double> columns(kRows * kDim);
+  reid::kernels::GatherColumns(rows.data(), kRows, kDim, columns.data());
 
-  auto sweep = [&](std::vector<double>& dst) {
-    reid::kernels::OneVsManySquared(query, rows.data(), kRows, kDim,
-                                    dst.data());
-    reid::kernels::NormalizedFromSquaredMany(dst.data(), kRows, kScale,
-                                             dst.data());
-    benchmark::DoNotOptimize(dst.data());
+  auto sweep = [&] {
+    return reid::kernels::SumNormalizedDistances(query, columns.data(), kRows,
+                                                 kDim, kScale, 0.0);
   };
-  auto time_sweep = [&](bool scalar, std::vector<double>& dst) {
+  auto time_sweep = [&](bool scalar, double& sum) {
     ScopedKernelMode mode(scalar);
-    sweep(dst);
+    sum = sweep();
     double ns = kInf;
     for (int r = 0; r < 5; ++r) {
-      ns = std::min(ns, NsPerOp([&] { sweep(dst); }, 200));
+      ns = std::min(ns,
+                    NsPerOp([&] { benchmark::DoNotOptimize(sweep()); }, 200));
     }
     return ns;
   };
-  std::vector<double> reference(kRows), out(kRows);
+  double reference = 0.0, fast = 0.0;
   const double scalar_ns = time_sweep(/*scalar=*/true, reference);
-  const double sse2_ns = time_sweep(/*scalar=*/false, out);
-  TMERGE_CHECK(std::memcmp(out.data(), reference.data(),
-                           kRows * sizeof(double)) == 0);
-  bench::EmitBenchJson("micro_kernel_levels",
-                       {{"rows", static_cast<double>(kRows)},
-                        {"dim", static_cast<double>(kDim)},
-                        {"scalar_ns", scalar_ns},
-                        {"sse2_ns", sse2_ns},
-                        {"peak_rss_mb", PeakRssMb()}});
+  const double fast_ns = time_sweep(/*scalar=*/false, fast);
+  TMERGE_CHECK(std::memcmp(&fast, &reference, sizeof(double)) == 0);
+  bench::EmitBenchJson(
+      "micro_kernel_levels",
+      {{"rows", static_cast<double>(kRows)},
+       {"dim", static_cast<double>(kDim)},
+       {"scalar_ns", scalar_ns},
+       {"fast_ns", fast_ns},
+       {"avx2", reid::kernels::Avx2SweepAvailable() ? 1.0 : 0.0},
+       {"peak_rss_mb", PeakRssMb()}});
 }
 
 /// The CI perf-smoke entry point: times the seed vs slab comparison
@@ -537,15 +507,12 @@ void RunJsonBenches() {
   // Same elements in the same accumulation order: the two paths must
   // agree to the last bit, or the comparison is timing different math.
   TMERGE_CHECK(SeedPair(f) == SlabPair(f));
-  double seed_ns = kInf, slab_ns = kInf, squared_ns = kInf;
+  double seed_ns = kInf, slab_ns = kInf;
   for (int r = 0; r < kRounds; ++r) {
     seed_ns = std::min(
         seed_ns, NsPerOp([&] { benchmark::DoNotOptimize(SeedPair(f)); }, 3000));
     slab_ns = std::min(
         slab_ns, NsPerOp([&] { benchmark::DoNotOptimize(SlabPair(f)); }, 3000));
-    squared_ns = std::min(
-        squared_ns,
-        NsPerOp([&] { benchmark::DoNotOptimize(SlabSquaredPair(f)); }, 3000));
   }
   bench::EmitBenchJson(
       "micro_one_vs_many",
@@ -554,9 +521,7 @@ void RunJsonBenches() {
        {"box_pairs", static_cast<double>(kBoxes * kBoxes)},
        {"map_scalar_ns", seed_ns},
        {"slab_vectorized_ns", slab_ns},
-       {"slab_squared_ns", squared_ns},
        {"speedup", seed_ns / slab_ns},
-       {"ranking_speedup", seed_ns / squared_ns},
        {"peak_rss_mb", PeakRssMb()}});
 
   ResetPeakRss();

@@ -24,9 +24,9 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
   // across worker threads, so members must stay read-only during Select.
   std::vector<double> scores(num_pairs, 0.0);
 
-  // Embed every involved crop, gathering raw arena pointers for the
-  // one-vs-many kernel. Batched mode groups `batch_size` track pairs per
-  // GPU call (the paper's B = track pairs jointly evaluated).
+  // Embed every involved crop, gathering raw arena pointers. Batched mode
+  // groups `batch_size` track pairs per GPU call (the paper's B = track
+  // pairs jointly evaluated).
   auto embed_track = [&](const std::vector<reid::CropRef>& crops,
                          std::vector<const double*>& out) {
     out.clear();
@@ -47,10 +47,10 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
     cache.GetOrEmbedBatch(crops, model, meter);
   };
 
-  // Scratch reused across pairs: feature pointers per track and one row of
-  // squared distances per fa.
+  // Scratch reused across pairs: feature pointers per track and the
+  // B-side features in column-major order.
   std::vector<const double*> features_a, features_b;
-  std::vector<double> row;
+  std::vector<double> columns;
   const std::size_t dim = model.feature_dim();
   const double scale = model.normalization_scale();
 
@@ -65,20 +65,18 @@ SelectionResult BaselineSelector::Select(const PairContext& context,
     for (std::size_t p = begin; p < end; ++p) {
       embed_track(context.CropsA(p), features_a);
       embed_track(context.CropsB(p), features_b);
-      // One kernel sweep per fa, the batched normalize epilogue in place,
-      // then a scalar sum in the same fa-outer / fb-inner order as
-      // pairwise NormalizedDistance — bit-identical by construction
-      // (reid/distance_kernels.h).
-      row.resize(features_b.size());
+      // The B-side features are gathered into columns once per pair;
+      // one fused sweep per fa then adds its normalized distances in the
+      // same fa-outer / fb-inner order as pairwise NormalizedDistance —
+      // bit-identical by construction (reid/distance_kernels.h).
+      const std::size_t n_b = features_b.size();
+      columns.resize(n_b * dim);
+      reid::kernels::GatherColumns(features_b.data(), n_b, dim,
+                                   columns.data());
       double sum = 0.0;
       for (const double* fa : features_a) {
-        reid::kernels::OneVsManySquared(fa, features_b.data(),
-                                        features_b.size(), dim, row.data());
-        reid::kernels::NormalizedFromSquaredMany(
-            row.data(), features_b.size(), scale, row.data());
-        for (std::size_t j = 0; j < features_b.size(); ++j) {
-          sum += row[j];
-        }
+        sum = reid::kernels::SumNormalizedDistances(fa, columns.data(), n_b,
+                                                    dim, scale, sum);
       }
       const auto count = static_cast<std::int64_t>(features_a.size() *
                                                    features_b.size());

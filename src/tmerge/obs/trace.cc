@@ -270,17 +270,12 @@ std::string ExportChromeTrace(const TraceSnapshot& snapshot) {
   std::string out;
   out.reserve(128 + snapshot.events.size() * 96);
   out += "{\"traceEvents\":[";
-  bool first = true;
+  std::int64_t exported = 0;
   for (const TraceEvent& event : snapshot.events) {
     if (event.name == nullptr) {
       continue;  // A torn or cleared slot that slipped through: drop it.
     }
-    if (!first) {
-      out += ",\n";
-    } else {
-      out += "\n";
-      first = false;
-    }
+    out += exported++ > 0 ? ",\n" : "\n";
     out += "{\"name\":\"";
     out += event.name;
     AppendF(out, "\",\"cat\":\"tmerge\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d",
@@ -318,7 +313,14 @@ std::string ExportChromeTrace(const TraceSnapshot& snapshot) {
     }
     out += "}";
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  // How much the rings kept: a wrapped ring or a last-N snapshot exports
+  // fewer events than were recorded, and dropped threads recorded none.
+  AppendF(out,
+          "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":%lld,"
+          "\"exported\":%lld,\"dropped_threads\":%lld}}\n",
+          static_cast<long long>(snapshot.total_recorded),
+          static_cast<long long>(exported),
+          static_cast<long long>(snapshot.dropped_threads));
   return out;
 }
 

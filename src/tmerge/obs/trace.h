@@ -162,8 +162,10 @@ class TraceRecorder {
 /// Format" wrapped in {"traceEvents": [...]}), loadable in chrome://tracing
 /// and Perfetto. Timestamps are microseconds relative to the snapshot's
 /// earliest event; events with a simulated timestamp carry it as a
-/// "sim_s" arg. Deterministic for a deterministic snapshot
-/// (golden-testable).
+/// "sim_s" arg. A trailing "otherData" object reports how much the rings
+/// kept: {"recorded": total_recorded, "exported": events written,
+/// "dropped_threads": dropped_threads}. Deterministic for a deterministic
+/// snapshot (golden-testable).
 std::string ExportChromeTrace(const TraceSnapshot& snapshot);
 
 /// Streams ExportChromeTrace (for benches writing trace files).

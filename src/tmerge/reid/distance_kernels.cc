@@ -4,8 +4,14 @@
 #include <atomic>
 #include <cmath>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
+// The one fast sweep is AVX2, compiled per function with a target
+// attribute and chosen at run time by CPUID, so the library itself still
+// targets the x86-64 baseline.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TMERGE_AVX2_SWEEP 1
+#include <immintrin.h>
+#else
+#define TMERGE_AVX2_SWEEP 0
 #endif
 
 #include "tmerge/core/status.h"
@@ -49,93 +55,74 @@ inline double UnrolledSquared(const double* TMERGE_RESTRICT a,
   return sum;
 }
 
-/// Four-row one-vs-many block. Each row keeps its own accumulator and
-/// accumulates in exactly the scalar order, so every output is
-/// bit-identical to ScalarSquaredDistance(query, row, dim). The win is
-/// across rows, where no reduction order is at stake: four independent
-/// chains hide the accumulator latency, and on SSE2 two rows ride one
-/// 2-lane vector op (IEEE arithmetic is per-lane, so lane k is the
-/// scalar chain of row k, bit for bit) — halving the sub/mul/add count
-/// that makes the single-pair kernel throughput-bound.
-#if defined(__SSE2__)
-inline void FourRowsSquared(const double* TMERGE_RESTRICT q,
-                            const double* TMERGE_RESTRICT b0,
-                            const double* TMERGE_RESTRICT b1,
-                            const double* TMERGE_RESTRICT b2,
-                            const double* TMERGE_RESTRICT b3,
-                            std::size_t dim, double* TMERGE_RESTRICT out) {
-  __m128d s01 = _mm_setzero_pd();
-  __m128d s23 = _mm_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m128d q_i = _mm_set1_pd(q[i]);
-    // _mm_set_pd packs (hi, lo): lane 0 carries the even row.
-    const __m128d b01 = _mm_set_pd(b1[i], b0[i]);
-    const __m128d b23 = _mm_set_pd(b3[i], b2[i]);
-    const __m128d d01 = _mm_sub_pd(q_i, b01);
-    const __m128d d23 = _mm_sub_pd(q_i, b23);
-    s01 = _mm_add_pd(s01, _mm_mul_pd(d01, d01));
-    s23 = _mm_add_pd(s23, _mm_mul_pd(d23, d23));
-  }
-  _mm_storeu_pd(out, s01);
-  _mm_storeu_pd(out + 2, s23);
+/// The single-pair dispatch. The entry points call this rather than each
+/// other, so each inlines the whole kernel: PS, LCB, TMerge and the gate
+/// pay one call per box pair, not a chain of them.
+inline double SinglePairSquared(const double* a, const double* b,
+                                std::size_t dim) {
+  if (UseScalarKernels()) return ScalarSquaredDistance(a, b, dim);
+  return UnrolledSquared(a, b, dim);
 }
 
-/// Eight-row block: same per-lane contract as FourRowsSquared with the
-/// query broadcast and loop control amortized over twice the rows.
-inline void EightRowsSquared(const double* TMERGE_RESTRICT q,
-                             const double* const* rows, std::size_t dim,
-                             double* TMERGE_RESTRICT out) {
-  const double* TMERGE_RESTRICT b0 = rows[0];
-  const double* TMERGE_RESTRICT b1 = rows[1];
-  const double* TMERGE_RESTRICT b2 = rows[2];
-  const double* TMERGE_RESTRICT b3 = rows[3];
-  const double* TMERGE_RESTRICT b4 = rows[4];
-  const double* TMERGE_RESTRICT b5 = rows[5];
-  const double* TMERGE_RESTRICT b6 = rows[6];
-  const double* TMERGE_RESTRICT b7 = rows[7];
-  __m128d s01 = _mm_setzero_pd();
-  __m128d s23 = _mm_setzero_pd();
-  __m128d s45 = _mm_setzero_pd();
-  __m128d s67 = _mm_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const __m128d q_i = _mm_set1_pd(q[i]);
-    const __m128d d01 = _mm_sub_pd(q_i, _mm_set_pd(b1[i], b0[i]));
-    const __m128d d23 = _mm_sub_pd(q_i, _mm_set_pd(b3[i], b2[i]));
-    const __m128d d45 = _mm_sub_pd(q_i, _mm_set_pd(b5[i], b4[i]));
-    const __m128d d67 = _mm_sub_pd(q_i, _mm_set_pd(b7[i], b6[i]));
-    s01 = _mm_add_pd(s01, _mm_mul_pd(d01, d01));
-    s23 = _mm_add_pd(s23, _mm_mul_pd(d23, d23));
-    s45 = _mm_add_pd(s45, _mm_mul_pd(d45, d45));
-    s67 = _mm_add_pd(s67, _mm_mul_pd(d67, d67));
-  }
-  _mm_storeu_pd(out, s01);
-  _mm_storeu_pd(out + 2, s23);
-  _mm_storeu_pd(out + 4, s45);
-  _mm_storeu_pd(out + 6, s67);
+#if TMERGE_AVX2_SWEEP
+/// Turns four squared distances into ReidModel::NormalizedDistance terms
+/// and adds them to `sum` in column order. vsqrtpd and vdivpd round like
+/// their scalar forms. vmaxpd and vminpd return their second operand on a
+/// tie or a NaN, so with the constants first the clamp is std::clamp bit
+/// for bit, signed zeros and NaNs included.
+__attribute__((target("avx2"))) inline double AddNormalized4(
+    __m256d squared, __m256d scale, double sum) {
+  const __m256d d = _mm256_div_pd(_mm256_sqrt_pd(squared), scale);
+  alignas(32) double terms[4];
+  _mm256_store_pd(terms, _mm256_min_pd(_mm256_set1_pd(1.0),
+                                       _mm256_max_pd(_mm256_setzero_pd(), d)));
+  for (double term : terms) sum += term;
+  return sum;
 }
-#else
-inline void FourRowsSquared(const double* TMERGE_RESTRICT q,
-                            const double* TMERGE_RESTRICT b0,
-                            const double* TMERGE_RESTRICT b1,
-                            const double* TMERGE_RESTRICT b2,
-                            const double* TMERGE_RESTRICT b3,
-                            std::size_t dim, double* TMERGE_RESTRICT out) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double q_i = q[i];
-    const double d0 = q_i - b0[i];
-    const double d1 = q_i - b1[i];
-    const double d2 = q_i - b2[i];
-    const double d3 = q_i - b3[i];
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
+
+/// The AVX2 sweep over columns [0, end), `end` a multiple of 4. Lane k of
+/// each accumulator is column k's scalar chain, fed by one contiguous load
+/// per feature element. 16-column blocks keep four accumulators in flight
+/// to hide the add latency; the rest take 4-column steps.
+__attribute__((target("avx2"))) double Avx2SumNormalized(
+    const double* TMERGE_RESTRICT query,
+    const double* TMERGE_RESTRICT columns, std::size_t count,
+    std::size_t end, std::size_t dim, double scale, double sum) {
+  const __m256d scale4 = _mm256_set1_pd(scale);
+  std::size_t j = 0;
+  for (; j + 16 <= end; j += 16) {
+    __m256d s0 = _mm256_setzero_pd();
+    __m256d s1 = _mm256_setzero_pd();
+    __m256d s2 = _mm256_setzero_pd();
+    __m256d s3 = _mm256_setzero_pd();
+    const double* column = columns + j;
+    for (std::size_t i = 0; i < dim; ++i, column += count) {
+      const __m256d q = _mm256_broadcast_sd(query + i);
+      const __m256d d0 = _mm256_sub_pd(q, _mm256_loadu_pd(column));
+      const __m256d d1 = _mm256_sub_pd(q, _mm256_loadu_pd(column + 4));
+      const __m256d d2 = _mm256_sub_pd(q, _mm256_loadu_pd(column + 8));
+      const __m256d d3 = _mm256_sub_pd(q, _mm256_loadu_pd(column + 12));
+      s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
+      s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
+      s2 = _mm256_add_pd(s2, _mm256_mul_pd(d2, d2));
+      s3 = _mm256_add_pd(s3, _mm256_mul_pd(d3, d3));
+    }
+    sum = AddNormalized4(s0, scale4, sum);
+    sum = AddNormalized4(s1, scale4, sum);
+    sum = AddNormalized4(s2, scale4, sum);
+    sum = AddNormalized4(s3, scale4, sum);
   }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
+  for (; j < end; j += 4) {
+    __m256d s = _mm256_setzero_pd();
+    const double* column = columns + j;
+    for (std::size_t i = 0; i < dim; ++i, column += count) {
+      const __m256d d = _mm256_sub_pd(_mm256_broadcast_sd(query + i),
+                                      _mm256_loadu_pd(column));
+      s = _mm256_add_pd(s, _mm256_mul_pd(d, d));
+    }
+    sum = AddNormalized4(s, scale4, sum);
+  }
+  return sum;
 }
 #endif
 
@@ -160,69 +147,65 @@ double ScalarSquaredDistance(const double* a, const double* b,
 }
 
 double SquaredDistance(const double* a, const double* b, std::size_t dim) {
-  if (UseScalarKernels()) return ScalarSquaredDistance(a, b, dim);
-  return UnrolledSquared(a, b, dim);
+  return SinglePairSquared(a, b, dim);
 }
 
 double Distance(const double* a, const double* b, std::size_t dim) {
-  return std::sqrt(SquaredDistance(a, b, dim));
+  return std::sqrt(SinglePairSquared(a, b, dim));
 }
 
 double SquaredDistance(FeatureView a, FeatureView b) {
   TMERGE_DCHECK(a.dim == b.dim);
-  return SquaredDistance(a.data, b.data, a.dim);
+  return SinglePairSquared(a.data, b.data, a.dim);
 }
 
 double Distance(FeatureView a, FeatureView b) {
   TMERGE_DCHECK(a.dim == b.dim);
-  return Distance(a.data, b.data, a.dim);
+  return std::sqrt(SinglePairSquared(a.data, b.data, a.dim));
 }
 
-void OneVsManySquared(const double* query, const double* const* many,
-                      std::size_t count, std::size_t dim, double* out) {
-  std::size_t i = 0;
-  if (UseScalarKernels()) {
-    for (; i < count; ++i) {
-      out[i] = ScalarSquaredDistance(query, many[i], dim);
-    }
-    return;
-  }
-#if defined(__SSE2__)
-  for (; i + 8 <= count; i += 8) {
-    EightRowsSquared(query, many + i, dim, out + i);
-  }
+bool Avx2SweepAvailable() {
+#if TMERGE_AVX2_SWEEP
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return available;
+#else
+  return false;
 #endif
-  for (; i + 4 <= count; i += 4) {
-    FourRowsSquared(query, many[i], many[i + 1], many[i + 2], many[i + 3],
-                    dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = UnrolledSquared(query, many[i], dim);
+}
+
+void GatherColumns(const double* const* rows, std::size_t count,
+                   std::size_t dim, double* columns) {
+  for (std::size_t j = 0; j < count; ++j) {
+    const double* row = rows[j];
+    for (std::size_t i = 0; i < dim; ++i) {
+      columns[i * count + j] = row[i];
+    }
   }
 }
 
-void NormalizedFromSquaredMany(const double* squared, std::size_t count,
-                               double scale, double* out) {
-  std::size_t i = 0;
-#if defined(__SSE2__)
-  if (!UseScalarKernels()) {
-    // sqrtpd and divpd are IEEE correctly-rounded, exactly like their
-    // scalar forms, so the vector lanes reproduce the scalar epilogue bit
-    // for bit while retiring two sqrt+div chains per instruction pair.
-    const __m128d scale2 = _mm_set1_pd(scale);
-    const __m128d zero2 = _mm_setzero_pd();
-    const __m128d one2 = _mm_set1_pd(1.0);
-    for (; i + 2 <= count; i += 2) {
-      const __m128d d =
-          _mm_div_pd(_mm_sqrt_pd(_mm_loadu_pd(squared + i)), scale2);
-      _mm_storeu_pd(out + i, _mm_min_pd(_mm_max_pd(d, zero2), one2));
-    }
+double SumNormalizedDistances(const double* query, const double* columns,
+                              std::size_t count, std::size_t dim,
+                              double scale, double sum) {
+  std::size_t j = 0;
+#if TMERGE_AVX2_SWEEP
+  if (!UseScalarKernels() && Avx2SweepAvailable()) {
+    j = count - count % 4;
+    sum = Avx2SumNormalized(query, columns, count, j, dim, scale, sum);
   }
 #endif
-  for (; i < count; ++i) {
-    const double d = std::sqrt(squared[i]) / scale;
-    out[i] = std::clamp(d, 0.0, 1.0);
+  // The scalar reference, and the AVX2 sweep's tail of 0-3 columns.
+  for (; j < count; ++j) {
+    double squared = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double d = query[i] - columns[i * count + j];
+      squared += d * d;
+    }
+    sum += std::clamp(std::sqrt(squared) / scale, 0.0, 1.0);
   }
+  return sum;
 }
 
 }  // namespace tmerge::reid::kernels

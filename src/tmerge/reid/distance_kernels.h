@@ -15,10 +15,10 @@ namespace tmerge::reid::kernels {
 ///      element in exactly the same order as the scalar reference (one
 ///      running sum per output, elements in index order), so the fast and
 ///      scalar paths return identical bits and every selector produces
-///      identical SelectionResults under either. The SSE2 variants only
-///      exploit parallelism *across* independent outputs: two rows share a
-///      2-lane vector op, and IEEE arithmetic is per-lane, so lane k is
-///      row k's scalar chain bit for bit. No reduction is ever
+///      identical SelectionResults under either. The AVX2 sweep only
+///      exploits parallelism *across* independent outputs: four columns
+///      share a 4-lane vector op, and IEEE arithmetic is per-lane, so lane
+///      k is column k's scalar chain bit for bit. No reduction is ever
 ///      reassociated, and this translation unit is compiled without FMA
 ///      contraction so mul+add cannot round differently from the scalar
 ///      reference.
@@ -36,7 +36,7 @@ namespace tmerge::reid::kernels {
 /// differently from the mean of roots.
 
 /// True when the entry points below route to the scalar reference loops
-/// instead of the unrolled/SSE2 paths. Off by default. The toggle exists
+/// instead of the unrolled/AVX2 paths. Off by default. The toggle exists
 /// so differential tests and bench_micro can run every selector on the
 /// reference and compare bits; outputs are identical either way. Reads
 /// and writes are relaxed atomic operations, one predictable branch per
@@ -61,28 +61,30 @@ double Distance(const double* a, const double* b, std::size_t dim);
 double SquaredDistance(FeatureView a, FeatureView b);
 double Distance(FeatureView a, FeatureView b);
 
-/// Batched one-vs-many squared distances: out[i] = |query - many[i]|^2 for
-/// i in [0, count). `many` is an array of `count` pointers, each to `dim`
-/// contiguous doubles (gathered FeatureStore rows); `out` has room for
-/// `count` results. Each element is computed exactly like
-/// SquaredDistance(query, many[i], dim) — same bits on either path — but
-/// the batched form amortizes call overhead and keeps the query row hot in
-/// L1 across the sweep. This is the BL full-sweep and "-B" scoring kernel.
-void OneVsManySquared(const double* query, const double* const* many,
-                      std::size_t count, std::size_t dim, double* out);
+/// True when this CPU runs the AVX2 column sweep behind
+/// SumNormalizedDistances. Probed once per process (CPUID); false off
+/// x86-64. The scalar toggle overrides it without changing it.
+bool Avx2SweepAvailable();
 
-/// Batched normalize epilogue for OneVsManySquared rows:
-///   out[i] = clamp(sqrt(squared[i]) / scale, 0.0, 1.0)
-/// for i in [0, count); in-place (out == squared) is allowed. Each element
-/// matches ReidModel::NormalizedFromSquared bit for bit: sqrt and divide
-/// are IEEE correctly-rounded in the scalar loop and in the SSE2 path
-/// (sqrtpd/divpd round identically to sqrtsd/divsd), and the clamp is
-/// min/max against the same constants. `scale` must be positive and
-/// `squared[i]` non-negative (sums of squares), so no NaNs reach the
-/// min/max. Selectors use this to finish a row without paying one scalar
-/// sqrt+div round trip per element.
-void NormalizedFromSquaredMany(const double* squared, std::size_t count,
-                               double scale, double* out);
+/// Transposes `count` feature rows of `dim` doubles each (gathered
+/// FeatureStore rows) into column-major scratch: element i of row j lands
+/// at columns[i * count + j], so one feature element of consecutive rows
+/// is contiguous. `columns` has room for count * dim doubles.
+void GatherColumns(const double* const* rows, std::size_t count,
+                   std::size_t dim, double* columns);
+
+/// The BL track-pair sweep for one query row against `count` columns laid
+/// out by GatherColumns: returns `sum` plus, added one at a time in column
+/// order, clamp(sqrt(|query - column j|^2) / scale, 0, 1) for j in
+/// [0, count). Each term is ReidModel::NormalizedDistance(query, column j)
+/// bit for bit (the squared distance accumulates in index order; sqrt and
+/// divide are correctly rounded on both paths; the clamp keeps
+/// std::clamp's operand order), so a caller that carries `sum` across
+/// query rows reproduces the pairwise fa-outer / fb-inner sum exactly.
+/// `scale` must be positive.
+double SumNormalizedDistances(const double* query, const double* columns,
+                              std::size_t count, std::size_t dim,
+                              double scale, double sum);
 
 }  // namespace tmerge::reid::kernels
 

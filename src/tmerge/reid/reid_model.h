@@ -2,7 +2,6 @@
 #define TMERGE_REID_REID_MODEL_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 
@@ -63,24 +62,12 @@ class ReidModel {
     return std::clamp(d, 0.0, 1.0);
   }
 
-  /// View overload over arena storage — the selector hot path. Same
-  /// arithmetic statement for statement as the FeatureVector overload, so
-  /// results are bit-identical for identical floats.
+  /// View overload over arena storage — the per-pair path of PS, LCB and
+  /// TMerge. Same arithmetic statement for statement as the FeatureVector
+  /// overload, so results are bit-identical for identical floats. BL's
+  /// sweep (kernels::SumNormalizedDistances) reproduces it term for term.
   double NormalizedDistance(FeatureView a, FeatureView b) const {
     double d = kernels::Distance(a, b) / normalization_scale();
-    return std::clamp(d, 0.0, 1.0);
-  }
-
-  /// Finishes a normalized distance from a squared distance produced by a
-  /// batched kernel (kernels::OneVsManySquared). std::sqrt is correctly
-  /// rounded, so sqrt(SquaredDistance(a, b)) is bit-identical to
-  /// kernels::Distance(a, b) and this composes with the batched kernels
-  /// into exactly the pairwise NormalizedDistance — the selectors rely on
-  /// that for their bit-compatibility guarantee. Note the sqrt is NOT
-  /// skippable for the selectors' mean-of-distance scores; see DESIGN.md
-  /// "Memory layout & kernels" for where squared distances are safe.
-  double NormalizedFromSquared(double squared) const {
-    double d = std::sqrt(squared) / normalization_scale();
     return std::clamp(d, 0.0, 1.0);
   }
 };

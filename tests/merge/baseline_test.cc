@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <vector>
+
 #include "testing/merge_fixture.h"
+#include "testing/test_util.h"
+#include "tmerge/merge/pipeline.h"
+#include "tmerge/reid/distance_kernels.h"
+#include "tmerge/sim/dataset.h"
+#include "tmerge/track/sort_tracker.h"
 
 namespace tmerge::merge {
 namespace {
@@ -121,6 +130,65 @@ TEST(BaselineTest, CacheSharedAcrossCallsSavesInferences) {
       baseline.Select(scenario.context(), scenario.model(), cache, options);
   EXPECT_GT(first.usage.TotalInferences(), 0);
   EXPECT_EQ(second.usage.TotalInferences(), 0);  // Everything cached.
+}
+
+// Every BL and BL-B score is Def. 3.1 computed pair by pair: the mean of
+// ReidModel::NormalizedDistance over the pair's box pairs, summed fa-outer
+// and fb-inner, to the last bit on both kernel paths. The candidate
+// comparisons elsewhere would miss a score that drifted without
+// reordering the top K. One KITTI-like video in a single window keeps it
+// small; the assertion on the B-side sizes makes sure the sweep's
+// 16-column block, 4-column step and scalar tail all run.
+TEST(BaselineTest, ScoresMatchPairwiseReferenceBitForBit) {
+  testing::ScopedKernelMode restore;
+  sim::Dataset dataset =
+      sim::MakeDataset(sim::DatasetProfile::kKittiLike, 1, /*seed=*/5);
+  track::SortTracker tracker;
+  PipelineConfig config;
+  config.window.single_window = true;
+  PreparedVideo prepared = PrepareVideo(dataset.videos[0], tracker, config);
+  ASSERT_EQ(prepared.windows.size(), 1u);
+  PairContext context(prepared.tracking, prepared.windows[0].pairs);
+  const reid::ReidModel& model = *prepared.model;
+
+  bool every_branch = false;
+  for (std::size_t p = 0; p < context.num_pairs(); ++p) {
+    const std::size_t n_b = context.CropsB(p).size();
+    every_branch |= n_b % 16 >= 4 && n_b % 4 != 0 && n_b > 16;
+  }
+  ASSERT_TRUE(every_branch);
+
+  for (bool scalar : {false, true}) {
+    for (std::int32_t batch_size : {1, 10}) {
+      reid::kernels::SetUseScalarKernels(scalar);
+      BaselineSelector baseline;
+      reid::FeatureCache cache;
+      SelectorOptions options;
+      options.batch_size = batch_size;
+      baseline.Select(context, model, cache, options);
+      const std::vector<double> scores = baseline.last_scores();
+      ASSERT_EQ(scores.size(), context.num_pairs());
+
+      std::vector<double> expected(context.num_pairs(), 1.0);
+      for (std::size_t p = 0; p < context.num_pairs(); ++p) {
+        double sum = 0.0;
+        for (const reid::CropRef& a : context.CropsA(p)) {
+          const reid::FeatureView fa = cache.View(cache.Find(a.detection_id));
+          for (const reid::CropRef& b : context.CropsB(p)) {
+            sum += model.NormalizedDistance(
+                fa, cache.View(cache.Find(b.detection_id)));
+          }
+        }
+        const std::size_t count =
+            context.CropsA(p).size() * context.CropsB(p).size();
+        if (count > 0) expected[p] = sum / static_cast<double>(count);
+      }
+      EXPECT_EQ(std::memcmp(scores.data(), expected.data(),
+                            scores.size() * sizeof(double)),
+                0)
+          << "scalar=" << scalar << " batch_size=" << batch_size;
+    }
+  }
 }
 
 TEST(BaselineTest, EmptyContext) {

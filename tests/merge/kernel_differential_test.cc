@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "testing/merge_fixture.h"
+#include "testing/test_util.h"
 #include "tmerge/merge/baseline.h"
 #include "tmerge/merge/lcb.h"
 #include "tmerge/merge/pipeline.h"
@@ -23,15 +24,6 @@
 
 namespace tmerge::merge {
 namespace {
-
-class ScopedKernelMode {
- public:
-  ScopedKernelMode() : saved_(reid::kernels::UseScalarKernels()) {}
-  ~ScopedKernelMode() { reid::kernels::SetUseScalarKernels(saved_); }
-
- private:
-  bool saved_;
-};
 
 std::vector<std::pair<std::string, std::unique_ptr<CandidateSelector>>>
 AllSelectors() {
@@ -76,7 +68,7 @@ void ExpectBitIdentical(const SelectionResult& vec,
 }
 
 TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAcrossKernelPaths) {
-  ScopedKernelMode restore;
+  testing::ScopedKernelMode restore;
   testing::MergeScenario scenario;
   for (auto& [name, selector] : AllSelectors()) {
     for (std::int32_t batch_size : {1, 4}) {
@@ -96,7 +88,7 @@ TEST(KernelDifferentialTest, AllSelectorsBitIdenticalAcrossKernelPaths) {
 // Dataset-level: kernel path x thread count over two dataset profiles, all
 // four combinations bit-identical in every deterministic EvalResult field.
 TEST(KernelDifferentialTest, DatasetEvalBitIdenticalAcrossKernelsAndThreads) {
-  ScopedKernelMode restore;
+  testing::ScopedKernelMode restore;
   for (sim::DatasetProfile profile :
        {sim::DatasetProfile::kKittiLike, sim::DatasetProfile::kMot17Like}) {
     sim::Dataset dataset = sim::MakeDataset(profile, 2, /*seed=*/13);

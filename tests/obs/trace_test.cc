@@ -242,12 +242,33 @@ TEST(ChromeTraceExportTest, Golden) {
       "\"args\":{\"camera\":3,\"pairs\":12}},\n"
       "{\"name\":\"stream.queued_frames\",\"cat\":\"tmerge\",\"ph\":\"C\","
       "\"pid\":1,\"tid\":0,\"ts\":3.000,\"args\":{\"value\":7}}\n"
-      "],\"displayTimeUnit\":\"ms\"}\n");
+      "],\"displayTimeUnit\":\"ms\","
+      "\"otherData\":{\"recorded\":4,\"exported\":4,\"dropped_threads\":0}}\n");
 }
 
 TEST(ChromeTraceExportTest, EmptySnapshotIsAValidTrace) {
   EXPECT_EQ(ExportChromeTrace(TraceSnapshot{}),
-            "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n");
+            "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\","
+            "\"otherData\":{\"recorded\":0,\"exported\":0,"
+            "\"dropped_threads\":0}}\n");
+}
+
+// A wrapped ring exports fewer events than were recorded, and the dump
+// says by how much.
+TEST(ChromeTraceExportTest, ReportsRecordedAndExportedCounts) {
+  TraceRecorderOptions options;
+  options.events_per_thread = 4;
+  TraceRecorder recorder(options);
+  recorder.Start();
+  for (std::int64_t i = 0; i < 10; ++i) {
+    recorder.RecordAt(i, "trace.test.event", TracePhase::kInstant);
+  }
+  recorder.Stop();
+  const std::string trace = ExportChromeTrace(recorder.Snapshot());
+  EXPECT_NE(trace.find("\"otherData\":{\"recorded\":10,\"exported\":4,"
+                       "\"dropped_threads\":0}"),
+            std::string::npos)
+      << trace;
 }
 
 TEST(ChromeTraceExportTest, StreamAndFileMatchTheString) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "testing/test_util.h"
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
 #include "tmerge/reid/feature.h"
@@ -31,17 +32,6 @@ std::vector<double> RandomFeature(core::Rng& rng, std::size_t dim) {
   return v;
 }
 
-/// Restores the kernel dispatch mode on scope exit so tests cannot leak a
-/// toggled mode into each other.
-class ScopedKernelMode {
- public:
-  ScopedKernelMode() : saved_(UseScalarKernels()) {}
-  ~ScopedKernelMode() { SetUseScalarKernels(saved_); }
-
- private:
-  bool saved_;
-};
-
 TEST(DistanceKernelsTest, KnownEuclideanValues) {
   const double a[] = {0.0, 3.0};
   const double b[] = {4.0, 0.0};
@@ -55,7 +45,7 @@ TEST(DistanceKernelsTest, KnownEuclideanValues) {
 // identical to the last bit — not merely close. Odd dims exercise the
 // remainder loop.
 TEST(DistanceKernelsTest, UnrolledBitIdenticalToScalar) {
-  ScopedKernelMode restore;
+  testing::ScopedKernelMode restore;
   core::Rng rng(2024);
   for (std::size_t dim = 1; dim <= 67; ++dim) {
     std::vector<double> a = RandomFeature(rng, dim);
@@ -81,45 +71,71 @@ TEST(DistanceKernelsTest, DistanceIsSqrtOfSquared) {
   }
 }
 
-// The SSE2 one-vs-many sweep returns the scalar toggle's bytes. Dims
-// cross the unrolled loop's remainder; counts reach every 8-row, 4-row
-// and single-row branch of the sweep. Each row also equals the
-// single-pair kernel on its own path.
-TEST(DistanceKernelsTest, OneVsManyMatchesSingleCalls) {
-  ScopedKernelMode restore;
+// The fused BL sweep returns the scalar toggle's bytes, and both equal the
+// per-column composition of ScalarSquaredDistance with
+// ReidModel::NormalizedDistance's sqrt, divide and clamp, added in column
+// order onto a nonzero carried-in sum. Dims cross the unrolled loop's
+// remainder; counts reach the 16-column block, the 4-column step and the
+// scalar tail alone and together. Every fifth column sits far enough from
+// the query to clamp at 1.
+TEST(DistanceKernelsTest, SumNormalizedDistancesMatchesScalarReference) {
+  testing::ScopedKernelMode restore;
   core::Rng rng(99);
+  constexpr double kCarried = 0.375;
+  int clamped = 0, unclamped = 0;
   for (std::size_t dim : {1u, 3u, 8u, 16u, 17u, 33u, 64u}) {
-    for (std::size_t count : {1u, 2u, 7u, 9u, 37u}) {
+    const double scale = std::sqrt(2.0 * static_cast<double>(dim));
+    for (std::size_t count : {1u, 3u, 4u, 5u, 15u, 16u, 17u, 20u, 33u, 37u}) {
       std::vector<double> query = RandomFeature(rng, dim);
       std::vector<std::vector<double>> features;
-      std::vector<const double*> many;
-      for (std::size_t i = 0; i < count; ++i) {
+      std::vector<const double*> rows;
+      for (std::size_t j = 0; j < count; ++j) {
         features.push_back(RandomFeature(rng, dim));
-        many.push_back(features.back().data());
+        if (j % 5 == 2) features.back()[0] = query[0] + 2.0 * scale;
+        rows.push_back(features.back().data());
       }
-      std::vector<double> reference(count);
-      std::vector<double> out(count);
-      SetUseScalarKernels(true);
-      OneVsManySquared(query.data(), many.data(), count, dim,
-                       reference.data());
+      std::vector<double> columns(count * dim);
+      GatherColumns(rows.data(), count, dim, columns.data());
+      for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          ASSERT_EQ(columns[i * count + j], features[j][i])
+              << "dim=" << dim << " count=" << count << " j=" << j
+              << " i=" << i;
+        }
+      }
+
+      double expected = kCarried;
+      for (const double* row : rows) {
+        const double d =
+            std::sqrt(ScalarSquaredDistance(query.data(), row, dim)) / scale;
+        (d >= 1.0 ? clamped : unclamped) += 1;
+        expected += std::clamp(d, 0.0, 1.0);
+      }
       SetUseScalarKernels(false);
-      OneVsManySquared(query.data(), many.data(), count, dim, out.data());
-      EXPECT_EQ(
-          std::memcmp(out.data(), reference.data(), count * sizeof(double)),
-          0)
+      const double fast = SumNormalizedDistances(
+          query.data(), columns.data(), count, dim, scale, kCarried);
+      SetUseScalarKernels(true);
+      const double scalar = SumNormalizedDistances(
+          query.data(), columns.data(), count, dim, scale, kCarried);
+      EXPECT_EQ(std::memcmp(&fast, &scalar, sizeof(double)), 0)
           << "dim=" << dim << " count=" << count;
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(
-            UlpDiff(out[i], SquaredDistance(query.data(), many[i], dim)), 0)
-            << "dim=" << dim << " count=" << count << " i=" << i;
-        EXPECT_EQ(UlpDiff(reference[i],
-                          ScalarSquaredDistance(query.data(), many[i], dim)),
-                  0)
-            << "dim=" << dim << " count=" << count << " i=" << i;
-      }
+      EXPECT_EQ(std::memcmp(&scalar, &expected, sizeof(double)), 0)
+          << "dim=" << dim << " count=" << count;
     }
   }
+  EXPECT_GT(clamped, 0);
+  EXPECT_GT(unclamped, 0);
 }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// A dispatch that silently fell back to the scalar loop would pass every
+// bit-identity test and lose the whole speedup, so the CPUID decision is
+// pinned against the compiler's own probe, made here independently.
+TEST(DistanceKernelsTest, Avx2SweepSelectedExactlyWhenTheCpuHasIt) {
+  __builtin_cpu_init();
+  EXPECT_EQ(Avx2SweepAvailable(), __builtin_cpu_supports("avx2") != 0);
+}
+#endif
 
 // Both kernels must stay within a couple ULP of an extended-precision
 // reference — guards against an accidental rewrite into a numerically
@@ -151,43 +167,8 @@ TEST(DistanceKernelsTest, WithinTwoUlpOfLongDoubleReference) {
   }
 }
 
-// The batched normalize epilogue must match the scalar
-// sqrt-divide-clamp element for element, bit for bit, in both dispatch
-// modes. Odd counts exercise the SSE2 remainder lane; in-place operation
-// is part of the contract.
-TEST(DistanceKernelsTest, NormalizedFromSquaredManyBitIdentical) {
-  ScopedKernelMode restore;
-  core::Rng rng(33);
-  constexpr double kScale = 4.0;
-  for (std::size_t count : {1u, 2u, 7u, 16u, 33u}) {
-    std::vector<double> squared(count);
-    for (double& s : squared) {
-      const double x = rng.Normal(0.0, 3.0);
-      s = x * x;  // Non-negative, spanning [0, 1] and clamped territory.
-    }
-    std::vector<double> expected(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      expected[i] = std::clamp(std::sqrt(squared[i]) / kScale, 0.0, 1.0);
-    }
-    for (bool scalar : {false, true}) {
-      SetUseScalarKernels(scalar);
-      std::vector<double> out(count);
-      NormalizedFromSquaredMany(squared.data(), count, kScale, out.data());
-      std::vector<double> in_place = squared;
-      NormalizedFromSquaredMany(in_place.data(), count, kScale,
-                                in_place.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(UlpDiff(out[i], expected[i]), 0)
-            << "scalar=" << scalar << " count=" << count << " i=" << i;
-        EXPECT_EQ(UlpDiff(in_place[i], expected[i]), 0)
-            << "scalar=" << scalar << " count=" << count << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(DistanceKernelsTest, RuntimeToggleRoundTrips) {
-  ScopedKernelMode restore;
+  testing::ScopedKernelMode restore;
   SetUseScalarKernels(true);
   EXPECT_TRUE(UseScalarKernels());
   SetUseScalarKernels(false);

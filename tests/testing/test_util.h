@@ -6,10 +6,23 @@
 
 #include "tmerge/core/geometry.h"
 #include "tmerge/merge/selector.h"
+#include "tmerge/reid/distance_kernels.h"
 #include "tmerge/sim/world.h"
 #include "tmerge/track/track.h"
 
 namespace tmerge::testing {
+
+/// Restores the distance-kernel dispatch mode on scope exit, so a test
+/// that toggles reid::kernels::SetUseScalarKernels cannot leak its mode
+/// into the next one.
+class ScopedKernelMode {
+ public:
+  ScopedKernelMode() : saved_(reid::kernels::UseScalarKernels()) {}
+  ~ScopedKernelMode() { reid::kernels::SetUseScalarKernels(saved_); }
+
+ private:
+  bool saved_;
+};
 
 /// Every integer counter of `tally`, in declaration order. The exact-arity
 /// bindings stop compiling when WorkTally or UsageStats gains a field, so

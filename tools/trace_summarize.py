@@ -17,6 +17,10 @@ golden) into the tables a human actually wants from a soak log:
 * **counters** — last/min/max of each sampled series (queue depths,
   in-flight jobs).
 
+Right under the header it reports how much of the recording the dump
+kept, from the exporter's "otherData" counts: events recorded, events
+exported, and threads dropped. Dumps without those counts say so.
+
 Spans whose begin event carries a simulated timestamp ("sim_s" arg) get
 a sim-time column reporting the mean sim clock at stage entry: wall
 duration tells you what the host did, the sim timestamp locates the
@@ -45,14 +49,30 @@ def percentile(sorted_values, fraction):
     return sorted_values[index]
 
 
-def load_events(path):
-    """Returns the traceEvents list, or raises ValueError."""
+def load_trace(path):
+    """Returns (traceEvents list, otherData dict), or raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         raise ValueError('no "traceEvents" array — not a Chrome trace')
-    return events
+    other = payload.get("otherData")
+    return events, other if isinstance(other, dict) else {}
+
+
+def retention_line(other):
+    """One line on how much of the recording the dump kept."""
+    try:
+        recorded = int(other["recorded"])
+        exported = int(other["exported"])
+        dropped = int(other["dropped_threads"])
+    except (KeyError, TypeError, ValueError):
+        return ("recorded and exported event counts unknown: this dump "
+                "has no otherData")
+    lost = 100.0 * (recorded - exported) / recorded if recorded else 0.0
+    return (f"kept {exported} of {recorded} recorded events ({lost:.1f} % "
+            f"lost to ring wraparound or a last-N snapshot), {dropped} "
+            f"thread(s) dropped")
 
 
 def pair_spans(events):
@@ -152,7 +172,7 @@ def main(argv):
     args = parser.parse_args(argv)
 
     try:
-        events = load_events(args.trace)
+        events, other = load_trace(args.trace)
     except (OSError, ValueError, json.JSONDecodeError) as error:
         print(f"trace_summarize: cannot read {args.trace}: {error}",
               file=sys.stderr)
@@ -165,6 +185,7 @@ def main(argv):
     threads = {e.get("tid") for e in events}
     print(f"{args.trace}: {len(events)} events across "
           f"{len(threads)} thread(s)")
+    print(retention_line(other))
 
     spans, unbalanced = pair_spans(events)
     if spans:
