@@ -2,156 +2,164 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 #include "tmerge/core/status.h"
 
 namespace tmerge::track {
+namespace {
 
-Mat Mat::Identity(std::size_t n) {
-  Mat m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
+// Row-major R x C matrix.
+template <std::size_t R, std::size_t C>
+using Matrix = std::array<std::array<double, C>, R>;
+
+// a * b. Every entry sums its terms in k order starting from +0.0 and skips
+// zero entries of `a`. The filter's output bits depend on that order, so
+// products with the sparse constants below deliberately stay generic.
+template <std::size_t R, std::size_t K, std::size_t C>
+Matrix<R, C> Multiply(const Matrix<R, K>& a, const Matrix<K, C>& b) {
+  Matrix<R, C> out{};
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const double v = a[r][k];
+      if (v == 0.0) continue;
+      for (std::size_t c = 0; c < C; ++c) out[r][c] += v * b[k][c];
+    }
+  }
+  return out;
+}
+
+template <std::size_t R, std::size_t C>
+Matrix<R, C> Plus(Matrix<R, C> a, const Matrix<R, C>& b) {
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) a[r][c] += b[r][c];
+  }
+  return a;
+}
+
+template <std::size_t R, std::size_t C>
+Matrix<R, C> Minus(Matrix<R, C> a, const Matrix<R, C>& b) {
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) a[r][c] -= b[r][c];
+  }
+  return a;
+}
+
+template <std::size_t N>
+constexpr Matrix<N, N> Diagonal(const std::array<double, N>& diagonal) {
+  Matrix<N, N> m{};
+  for (std::size_t i = 0; i < N; ++i) m[i][i] = diagonal[i];
   return m;
 }
 
-Mat Mat::Transpose() const {
-  Mat out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out.At(c, r) = At(r, c);
+template <std::size_t R, std::size_t C>
+constexpr Matrix<C, R> Transpose(const Matrix<R, C>& m) {
+  Matrix<C, R> t{};
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) t[c][r] = m[r][c];
   }
-  return out;
+  return t;
 }
 
-Mat Mat::operator*(const Mat& other) const {
-  TMERGE_CHECK(cols_ == other.rows_);
-  Mat out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      double v = At(r, k);
-      if (v == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) {
-        out.At(r, c) += v * other.At(k, c);
-      }
-    }
-  }
-  return out;
-}
+constexpr Matrix<7, 7> kIdentity = Diagonal<7>({1, 1, 1, 1, 1, 1, 1});
 
-Mat Mat::operator+(const Mat& other) const {
-  TMERGE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Mat out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
+// Constant-velocity transition: position += velocity each frame.
+constexpr Matrix<7, 7> kF = [] {
+  Matrix<7, 7> f = kIdentity;
+  f[0][4] = 1.0;
+  f[1][5] = 1.0;
+  f[2][6] = 1.0;
+  return f;
+}();
+constexpr Matrix<7, 7> kFt = Transpose(kF);
 
-Mat Mat::operator-(const Mat& other) const {
-  TMERGE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Mat out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
+// The measurement is the first four state entries.
+constexpr Matrix<4, 7> kH = [] {
+  Matrix<4, 7> h{};
+  for (std::size_t i = 0; i < 4; ++i) h[i][i] = 1.0;
+  return h;
+}();
+constexpr Matrix<7, 4> kHt = Transpose(kH);
 
-Mat Mat::Inverse() const {
-  TMERGE_CHECK(rows_ == cols_);
-  std::size_t n = rows_;
-  Mat a = *this;
-  Mat inv = Identity(n);
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
+// Process and measurement noise, and the initial covariance, mirror the
+// reference SORT implementation: high uncertainty on the unobserved
+// velocities.
+constexpr Matrix<7, 7> kQ = Diagonal<7>({1, 1, 1, 1, 0.01, 0.01, 0.01});
+constexpr Matrix<4, 4> kR = Diagonal<4>({1, 1, 10, 0.01});
+constexpr Matrix<7, 7> kP0 = Diagonal<7>({1, 1, 10, 1, 1000, 1000, 1000});
+
+// Gauss-Jordan elimination with partial pivoting (first row with the
+// strictly largest magnitude). Innovation covariances are always
+// well-conditioned; a near-singular one is a programming error.
+Matrix<4, 4> Inverse(Matrix<4, 4> a) {
+  Matrix<4, 4> inv = Diagonal<4>({1, 1, 1, 1});
+  for (std::size_t col = 0; col < 4; ++col) {
     std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a.At(r, col)) > std::abs(a.At(pivot, col))) pivot = r;
+    for (std::size_t r = col + 1; r < 4; ++r) {
+      if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
     }
-    TMERGE_CHECK(std::abs(a.At(pivot, col)) > 1e-12);
+    TMERGE_CHECK(std::abs(a[pivot][col]) > 1e-12);
     if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a.At(pivot, c), a.At(col, c));
-        std::swap(inv.At(pivot, c), inv.At(col, c));
-      }
+      std::swap(a[pivot], a[col]);
+      std::swap(inv[pivot], inv[col]);
     }
-    double d = a.At(col, col);
-    for (std::size_t c = 0; c < n; ++c) {
-      a.At(col, c) /= d;
-      inv.At(col, c) /= d;
+    const double d = a[col][col];
+    for (std::size_t c = 0; c < 4; ++c) {
+      a[col][c] /= d;
+      inv[col][c] /= d;
     }
-    for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t r = 0; r < 4; ++r) {
       if (r == col) continue;
-      double factor = a.At(r, col);
+      const double factor = a[r][col];
       if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < n; ++c) {
-        a.At(r, c) -= factor * a.At(col, c);
-        inv.At(r, c) -= factor * inv.At(col, c);
+      for (std::size_t c = 0; c < 4; ++c) {
+        a[r][c] -= factor * a[col][c];
+        inv[r][c] -= factor * inv[col][c];
       }
     }
   }
   return inv;
 }
 
-namespace {
-
 // Converts a box to the SORT measurement [cx, cy, s, r].
-Mat BoxToMeasurement(const core::BoundingBox& box) {
-  Mat z(4, 1);
-  z.At(0, 0) = box.x + box.width / 2.0;
-  z.At(1, 0) = box.y + box.height / 2.0;
-  z.At(2, 0) = std::max(1.0, box.Area());
-  z.At(3, 0) = box.width / std::max(1.0, box.height);
-  return z;
+Matrix<4, 1> BoxToMeasurement(const core::BoundingBox& box) {
+  return {{{box.x + box.width / 2.0},
+           {box.y + box.height / 2.0},
+           {std::max(1.0, box.Area())},
+           {box.width / std::max(1.0, box.height)}}};
 }
 
-core::BoundingBox StateToBox(const Mat& x) {
-  double s = std::max(1.0, x.At(2, 0));
-  double r = std::max(0.05, x.At(3, 0));
+core::BoundingBox StateToBox(const Matrix<7, 1>& x) {
+  double s = std::max(1.0, x[2][0]);
+  double r = std::max(0.05, x[3][0]);
   double width = std::sqrt(s * r);
   double height = s / std::max(1e-6, width);
-  return {x.At(0, 0) - width / 2.0, x.At(1, 0) - height / 2.0, width, height};
+  return {x[0][0] - width / 2.0, x[1][0] - height / 2.0, width, height};
 }
 
 }  // namespace
 
 KalmanBoxFilter::KalmanBoxFilter(const core::BoundingBox& box)
-    : x_(7, 1),
-      p_(Mat::Identity(7)),
-      f_(Mat::Identity(7)),
-      h_(4, 7),
-      q_(Mat::Identity(7)),
-      r_(Mat::Identity(4)) {
-  Mat z = BoxToMeasurement(box);
-  for (std::size_t i = 0; i < 4; ++i) x_.At(i, 0) = z.At(i, 0);
-
-  // Constant-velocity transition: position += velocity each frame.
-  f_.At(0, 4) = 1.0;
-  f_.At(1, 5) = 1.0;
-  f_.At(2, 6) = 1.0;
-
-  for (std::size_t i = 0; i < 4; ++i) h_.At(i, i) = 1.0;
-
-  // Covariance initialization mirrors the reference SORT implementation:
-  // high uncertainty on the unobserved velocities.
-  for (std::size_t i = 4; i < 7; ++i) p_.At(i, i) = 1000.0;
-  p_.At(2, 2) = 10.0;
-
-  q_.At(6, 6) = 0.01;
-  for (std::size_t i = 4; i < 6; ++i) q_.At(i, i) = 0.01;
-
-  r_.At(2, 2) = 10.0;
-  r_.At(3, 3) = 0.01;
+    : x_{}, p_(kP0) {
+  const Matrix<4, 1> z = BoxToMeasurement(box);
+  std::copy(z.begin(), z.end(), x_.begin());
 }
 
 core::BoundingBox KalmanBoxFilter::Predict() {
   // Keep the area non-negative after the velocity step.
-  if (x_.At(2, 0) + x_.At(6, 0) <= 0.0) x_.At(6, 0) = 0.0;
-  x_ = f_ * x_;
-  p_ = f_ * p_ * f_.Transpose() + q_;
+  if (x_[2][0] + x_[6][0] <= 0.0) x_[6][0] = 0.0;
+  x_ = Multiply(kF, x_);
+  p_ = Plus(Multiply(Multiply(kF, p_), kFt), kQ);
   return StateToBox(x_);
 }
 
 void KalmanBoxFilter::Update(const core::BoundingBox& box) {
-  Mat z = BoxToMeasurement(box);
-  Mat y = z - h_ * x_;
-  Mat s = h_ * p_ * h_.Transpose() + r_;
-  Mat k = p_ * h_.Transpose() * s.Inverse();
-  x_ = x_ + k * y;
-  p_ = (Mat::Identity(7) - k * h_) * p_;
+  const Matrix<4, 1> y = Minus(BoxToMeasurement(box), Multiply(kH, x_));
+  const Matrix<4, 4> s = Plus(Multiply(Multiply(kH, p_), kHt), kR);
+  const Matrix<7, 4> k = Multiply(Multiply(p_, kHt), Inverse(s));
+  x_ = Plus(x_, Multiply(k, y));
+  p_ = Multiply(Minus(kIdentity, Multiply(k, kH)), p_);
 }
 
 core::BoundingBox KalmanBoxFilter::StateBox() const { return StateToBox(x_); }

@@ -1,44 +1,12 @@
 #ifndef TMERGE_TRACK_KALMAN_FILTER_H_
 #define TMERGE_TRACK_KALMAN_FILTER_H_
 
-#include <cstddef>
-#include <vector>
+#include <array>
+#include <type_traits>
 
 #include "tmerge/core/geometry.h"
 
 namespace tmerge::track {
-
-/// Minimal dense matrix used by the Kalman filter (row-major doubles).
-/// Supports exactly the operations filtering needs; not a general linear
-/// algebra library.
-class Mat {
- public:
-  Mat() : rows_(0), cols_(0) {}
-  Mat(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-  static Mat Identity(std::size_t n);
-
-  double& At(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  double At(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  Mat Transpose() const;
-  Mat operator*(const Mat& other) const;
-  Mat operator+(const Mat& other) const;
-  Mat operator-(const Mat& other) const;
-
-  /// Inverse via Gauss-Jordan elimination with partial pivoting. The matrix
-  /// must be square and well-conditioned (covariances here always are).
-  Mat Inverse() const;
-
- private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<double> data_;
-};
 
 /// SORT-parameterized constant-velocity Kalman filter over bounding boxes.
 ///
@@ -47,6 +15,9 @@ class Mat {
 /// are per-frame velocities. Measurement z = [cx, cy, s, r]. This is the
 /// exact formulation of Bewley et al.'s SORT tracker, which the paper uses
 /// as one of its evaluated trackers.
+///
+/// A filter is just its state and covariance, held inline; the transition,
+/// measurement and noise matrices are constants shared by every filter.
 class KalmanBoxFilter {
  public:
   /// Initializes the filter from the first observed box.
@@ -62,13 +33,11 @@ class KalmanBoxFilter {
   core::BoundingBox StateBox() const;
 
  private:
-  Mat x_;  // 7x1 state.
-  Mat p_;  // 7x7 covariance.
-  Mat f_;  // 7x7 transition.
-  Mat h_;  // 4x7 measurement.
-  Mat q_;  // 7x7 process noise.
-  Mat r_;  // 4x4 measurement noise.
+  std::array<std::array<double, 1>, 7> x_;  // 7x1 state.
+  std::array<std::array<double, 7>, 7> p_;  // 7x7 covariance, row-major.
 };
+
+static_assert(std::is_trivially_copyable_v<KalmanBoxFilter>);
 
 }  // namespace tmerge::track
 
