@@ -1,6 +1,6 @@
 #include "tmerge/obs/export.h"
 
-#include <sstream>
+#include <cstdio>
 
 namespace tmerge::obs {
 namespace {
@@ -24,59 +24,6 @@ void AppendQuoted(std::string& out, const std::string& name) {
     out += c;
   }
   out += '"';
-}
-
-std::string PrometheusName(const std::string& name) {
-  std::string mangled = "tmerge_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_';
-    mangled += ok ? c : '_';
-  }
-  return mangled;
-}
-
-// A registry name split for Prometheus exposition: the mangled base plus
-// the raw label block (sans braces, already escaped by LabeledName).
-struct PromParts {
-  std::string name;
-  std::string labels;
-};
-
-PromParts SplitLabels(const std::string& name) {
-  const std::size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    return PromParts{PrometheusName(name), ""};
-  }
-  std::string labels = name.substr(brace + 1);
-  if (!labels.empty() && labels.back() == '}') labels.pop_back();
-  return PromParts{PrometheusName(name.substr(0, brace)), std::move(labels)};
-}
-
-// `base{labels}` or bare `base`.
-void WritePromSeries(std::ostream& os, const PromParts& parts,
-                     const std::string& suffix) {
-  os << parts.name << suffix;
-  if (!parts.labels.empty()) os << "{" << parts.labels << "}";
-}
-
-// Bucket series need `le` merged into the label block.
-void WritePromBucket(std::ostream& os, const PromParts& parts,
-                     const std::string& le) {
-  os << parts.name << "_bucket{";
-  if (!parts.labels.empty()) os << parts.labels << ",";
-  os << "le=\"" << le << "\"}";
-}
-
-// One `# TYPE` line per family: labeled variants of a metric sort
-// adjacently in the snapshot's name-ordered map ('{' compares above every
-// name character used in bases), so suppressing repeats is a one-token
-// memo.
-void WritePromType(std::ostream& os, const PromParts& parts,
-                   const char* type, std::string& last_family) {
-  if (parts.name == last_family) return;
-  os << "# TYPE " << parts.name << " " << type << "\n";
-  last_family = parts.name;
 }
 
 }  // namespace
@@ -127,46 +74,6 @@ std::string SnapshotToJson(const RegistrySnapshot& snapshot) {
   }
   out += "}}";
   return out;
-}
-
-std::string SnapshotToPrometheus(const RegistrySnapshot& snapshot) {
-  std::ostringstream os;
-  std::string last_family;
-  for (const auto& [name, value] : snapshot.counters) {
-    PromParts parts = SplitLabels(name);
-    WritePromType(os, parts, "counter", last_family);
-    WritePromSeries(os, parts, "");
-    os << " " << value << "\n";
-  }
-  last_family.clear();
-  for (const auto& [name, value] : snapshot.gauges) {
-    PromParts parts = SplitLabels(name);
-    WritePromType(os, parts, "gauge", last_family);
-    WritePromSeries(os, parts, "");
-    os << " " << FormatDouble(value) << "\n";
-  }
-  last_family.clear();
-  for (const auto& [name, hist] : snapshot.histograms) {
-    PromParts parts = SplitLabels(name);
-    WritePromType(os, parts, "histogram", last_family);
-    std::int64_t cumulative = 0;
-    for (std::size_t b = 0; b < hist.bucket_counts.size(); ++b) {
-      cumulative += hist.bucket_counts[b];
-      WritePromBucket(os, parts,
-                      b < hist.bounds.size() ? FormatDouble(hist.bounds[b])
-                                             : "+Inf");
-      os << " " << cumulative << "\n";
-    }
-    WritePromSeries(os, parts, "_sum");
-    os << " " << FormatDouble(hist.sum) << "\n";
-    WritePromSeries(os, parts, "_count");
-    os << " " << hist.count << "\n";
-  }
-  return os.str();
-}
-
-void WriteJson(std::ostream& os, const RegistrySnapshot& snapshot) {
-  os << SnapshotToJson(snapshot);
 }
 
 }  // namespace tmerge::obs

@@ -1,7 +1,6 @@
 #ifndef TMERGE_OBS_EXPORT_H_
 #define TMERGE_OBS_EXPORT_H_
 
-#include <ostream>
 #include <string>
 
 #include "tmerge/obs/metrics.h"
@@ -16,15 +15,6 @@ namespace tmerge::obs {
 /// Keys are emitted in name order, so equal snapshots serialize equally
 /// (golden-testable, diffable across runs).
 std::string SnapshotToJson(const RegistrySnapshot& snapshot);
-
-/// Serializes a snapshot in Prometheus text exposition format. Metric
-/// names are mangled to Prometheus conventions: prefixed "tmerge_", dots
-/// replaced by underscores; histograms expand to the usual _bucket{le=}/
-/// _sum/_count triple with cumulative bucket counts.
-std::string SnapshotToPrometheus(const RegistrySnapshot& snapshot);
-
-/// Streams SnapshotToJson (convenience for benches writing report lines).
-void WriteJson(std::ostream& os, const RegistrySnapshot& snapshot);
 
 }  // namespace tmerge::obs
 

@@ -233,12 +233,10 @@ struct MetricLabel {
 ///     == "stream.camera.queued_frames{camera=\"3\"}"
 ///
 /// The result is an ordinary registry name — labeled variants of a metric
-/// are independent Counter/Gauge/Histogram instances — but the exporters
-/// understand the suffix: SnapshotToPrometheus mangles only the base and
-/// emits the label block natively (merging `le` for histogram buckets),
-/// and SnapshotToJson escapes the embedded quotes. Labels are emitted in
-/// the order given; call sites should pick one order per family so
-/// variants sort adjacently.
+/// are independent Counter/Gauge/Histogram instances — and SnapshotToJson
+/// keys each by its full name, escaping the embedded quotes. Labels are
+/// emitted in the order given; call sites should pick one order per
+/// family so variants sort adjacently.
 std::string LabeledName(const std::string& base,
                         const std::vector<MetricLabel>& labels);
 

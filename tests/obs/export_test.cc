@@ -42,28 +42,6 @@ TEST(ExportTest, JsonOfEmptySnapshotIsValidObject) {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
-TEST(ExportTest, PrometheusGolden) {
-  EXPECT_EQ(SnapshotToPrometheus(SampleSnapshot()),
-            "# TYPE tmerge_a_count counter\n"
-            "tmerge_a_count 3\n"
-            "# TYPE tmerge_g_level gauge\n"
-            "tmerge_g_level 0.5\n"
-            "# TYPE tmerge_h_lat histogram\n"
-            "tmerge_h_lat_bucket{le=\"1\"} 1\n"
-            "tmerge_h_lat_bucket{le=\"10\"} 2\n"
-            "tmerge_h_lat_bucket{le=\"+Inf\"} 3\n"
-            "tmerge_h_lat_sum 105.5\n"
-            "tmerge_h_lat_count 3\n");
-}
-
-TEST(ExportTest, PrometheusBucketCountsAreCumulative) {
-  std::string text = SnapshotToPrometheus(SampleSnapshot());
-  // The +Inf bucket of a Prometheus histogram always equals _count.
-  EXPECT_NE(text.find("tmerge_h_lat_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("tmerge_h_lat_count 3"), std::string::npos);
-}
-
 RegistrySnapshot LabeledSnapshot() {
   SetEnabled(true);
   MetricsRegistry registry;
@@ -82,23 +60,19 @@ RegistrySnapshot LabeledSnapshot() {
   return snapshot;
 }
 
-// Labeled variants export as real Prometheus series — base name mangled,
-// label block passed through, `le` merged into bucket blocks — under a
-// single # TYPE line per family (the unlabeled series and every labeled
-// variant sort adjacently in the snapshot).
-TEST(ExportTest, PrometheusLabeledGolden) {
-  EXPECT_EQ(SnapshotToPrometheus(LabeledSnapshot()),
-            "# TYPE tmerge_stream_frames counter\n"
-            "tmerge_stream_frames 5\n"
-            "tmerge_stream_frames{camera=\"12\"} 3\n"
-            "tmerge_stream_frames{camera=\"3\"} 2\n"
-            "# TYPE tmerge_stream_depth gauge\n"
-            "tmerge_stream_depth{camera=\"3\"} 4\n"
-            "# TYPE tmerge_stream_lat histogram\n"
-            "tmerge_stream_lat_bucket{camera=\"3\",le=\"1\"} 1\n"
-            "tmerge_stream_lat_bucket{camera=\"3\",le=\"+Inf\"} 2\n"
-            "tmerge_stream_lat_sum{camera=\"3\"} 2.5\n"
-            "tmerge_stream_lat_count{camera=\"3\"} 2\n");
+// Labeled variants are ordinary registry names: each keeps its full
+// `{key="value"}` suffix as its JSON key, quotes escaped, and sorts right
+// after its unlabeled family name.
+TEST(ExportTest, JsonLabeledGolden) {
+  EXPECT_EQ(SnapshotToJson(LabeledSnapshot()),
+            "{\"counters\":{"
+            R"("stream.frames":5,)"
+            R"("stream.frames{camera=\"12\"}":3,)"
+            R"("stream.frames{camera=\"3\"}":2},)"
+            "\"gauges\":{" R"("stream.depth{camera=\"3\"}":4)" "},"
+            "\"histograms\":{"
+            R"("stream.lat{camera=\"3\"}":{"count":2,"sum":2.5,)"
+            R"("buckets":[{"le":1,"count":1},{"le":"+Inf","count":1}]}}})");
 }
 
 // The JSON exporter keys metrics by their full registry name; the quotes
@@ -136,13 +110,6 @@ TEST(ExportTest, FixtureNamesAreRegistryListed) {
   }
 }
 #endif  // TMERGE_REGISTRY_JSON
-
-TEST(ExportTest, WriteJsonStreamsSameBytes) {
-  RegistrySnapshot snapshot = SampleSnapshot();
-  std::ostringstream os;
-  WriteJson(os, snapshot);
-  EXPECT_EQ(os.str(), SnapshotToJson(snapshot));
-}
 
 }  // namespace
 }  // namespace tmerge::obs
