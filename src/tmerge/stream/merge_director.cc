@@ -55,8 +55,7 @@ void MergeDirector::NoteIngestDeferred(double now_seconds) {
 bool MergeDirector::CanScheduleIngestJob(std::int64_t estimated_pairs,
                                          double now_seconds) {
   core::MutexLock lock(mutex_);
-  if (pending_pairs_ + estimated_pairs_ + estimated_pairs >
-      config_.max_intermediate_pairs) {
+  if (pending_pairs_ + estimated_pairs > config_.max_intermediate_pairs) {
     NoteIngestDeferred(now_seconds);
     return false;
   }
@@ -66,17 +65,6 @@ bool MergeDirector::CanScheduleIngestJob(std::int64_t estimated_pairs,
   blocked_since_seconds_ = -1.0;
   stall_flush_ = false;
   return true;
-}
-
-void MergeDirector::OnIngestJobStarted(std::int64_t estimated_pairs) {
-  core::MutexLock lock(mutex_);
-  estimated_pairs_ += estimated_pairs;
-}
-
-void MergeDirector::OnIngestJobFinished(std::int64_t estimated_pairs) {
-  core::MutexLock lock(mutex_);
-  estimated_pairs_ -= estimated_pairs;
-  if (estimated_pairs_ < 0) estimated_pairs_ = 0;
 }
 
 void MergeDirector::OnMergeInputProcessed(std::int64_t actual_pairs) {
@@ -160,7 +148,6 @@ MergeDirectorStats MergeDirector::stats() const {
   core::MutexLock lock(mutex_);
   MergeDirectorStats stats;
   stats.pending_pairs = pending_pairs_;
-  stats.estimated_pairs = estimated_pairs_;
   stats.inflight_merge_jobs = inflight_merge_jobs_;
   stats.ingest_jobs_admitted = ingest_admitted_;
   stats.ingest_jobs_deferred = ingest_deferred_;

@@ -12,11 +12,11 @@ namespace tmerge::stream {
 /// for the synthetic profiles (hundreds of pairs per window); bench_stream
 /// and the soak tests shrink them to force backpressure on purpose.
 struct MergeDirectorConfig {
-  /// Ceiling on candidate pairs resident in the system: pending (closed
-  /// windows waiting for a merge job) plus the estimates of admitted
-  /// ingest jobs that have not reported their actual pair counts yet.
-  /// Ingest admission is denied once this budget would be exceeded — the
-  /// backpressure-before-memory-pressure contract.
+  /// Ceiling on candidate pairs resident in the system: pending pairs
+  /// (closed windows waiting for a merge job) plus the estimate of the
+  /// ingest step asking for admission. Ingest admission is denied once
+  /// this budget would be exceeded — the backpressure-before-memory-
+  /// pressure contract.
   std::int64_t max_intermediate_pairs = 65536;
   /// A merge job is only worth scheduling once this many pairs are
   /// pending (amortizes per-job overhead), except in force-flush mode.
@@ -34,7 +34,6 @@ struct MergeDirectorConfig {
 /// service's metrics export.
 struct MergeDirectorStats {
   std::int64_t pending_pairs = 0;
-  std::int64_t estimated_pairs = 0;
   std::int64_t inflight_merge_jobs = 0;
   std::int64_t ingest_jobs_admitted = 0;
   std::int64_t ingest_jobs_deferred = 0;
@@ -55,10 +54,12 @@ struct MergeDirectorStats {
 /// pairs) and "merge jobs" (batched ReID/selection over pending pairs)
 /// compete under two budgets —
 ///
-///   - an intermediate-pair budget: ingest is admitted only while
-///     pending + in-flight-estimated pairs stay within
-///     max_intermediate_pairs, so the frame queues back up (visible,
-///     bounded backpressure) instead of the pair pool (unbounded memory);
+///   - an intermediate-pair budget: an ingest step is admitted only while
+///     pending pairs plus its estimate stay within max_intermediate_pairs,
+///     so the frame queues back up (visible, bounded backpressure) instead
+///     of the pair pool (unbounded memory). The service runs each
+///     admitted step to completion before the next probe, so the estimate
+///     is headroom for that one step, not a standing reservation;
 ///   - an in-flight-job budget: at most max_inflight_merge_jobs merge
 ///     jobs run concurrently, and a job is only scheduled once
 ///     min_pairs_per_merge_job pairs are pending — unless force-flush is
@@ -90,19 +91,10 @@ class MergeDirector {
   bool CanScheduleIngestJob(std::int64_t estimated_pairs, double now_seconds)
       TMERGE_EXCLUDES(mutex_);
 
-  /// Reserves `estimated_pairs` against the intermediate budget. Call
-  /// only after CanScheduleIngestJob approved the same estimate.
-  void OnIngestJobStarted(std::int64_t estimated_pairs)
-      TMERGE_EXCLUDES(mutex_);
-
-  /// Releases the reservation made by OnIngestJobStarted. The pairs the
-  /// job actually produced are reported separately via
-  /// OnMergeInputProcessed (they may differ from the estimate in either
-  /// direction, as in Snippet 1's scenario).
-  void OnIngestJobFinished(std::int64_t estimated_pairs)
-      TMERGE_EXCLUDES(mutex_);
-
-  /// Adds `actual_pairs` pairs to the pending (mergeable) pool.
+  /// Adds `actual_pairs` pairs to the pending (mergeable) pool. An
+  /// ingest step reports the pairs it actually produced here; they may
+  /// differ from its admission estimate in either direction, as in
+  /// Snippet 1's scenario.
   void OnMergeInputProcessed(std::int64_t actual_pairs)
       TMERGE_EXCLUDES(mutex_);
 
@@ -141,8 +133,6 @@ class MergeDirector {
   mutable core::Mutex mutex_;
   /// Pairs sitting in closed windows, waiting for a merge job.
   std::int64_t pending_pairs_ TMERGE_GUARDED_BY(mutex_) = 0;
-  /// Estimates reserved by admitted-but-unfinished ingest jobs.
-  std::int64_t estimated_pairs_ TMERGE_GUARDED_BY(mutex_) = 0;
   std::int32_t inflight_merge_jobs_ TMERGE_GUARDED_BY(mutex_) = 0;
   bool stream_completed_ TMERGE_GUARDED_BY(mutex_) = false;
   bool stall_flush_ TMERGE_GUARDED_BY(mutex_) = false;

@@ -41,13 +41,12 @@ struct StreamServiceConfig {
   /// full buffer surfaces as IngestOutcome::kBackpressure to the caller —
   /// the knob that keeps ingest memory bounded when the director defers.
   std::int32_t max_queued_frames_per_camera = 256;
-  /// Intermediate-pair estimate charged per admitted ingest step (frames
-  /// mostly close no window, so this is a small smoothing constant, not a
-  /// per-window pair count). Clamped to the intermediate budget so a
-  /// misconfiguration can never wedge admission permanently.
+  /// Headroom an ingest step needs: a frame is admitted while pending
+  /// pairs plus this estimate fit the director's max_intermediate_pairs
+  /// (frames mostly close no window, so this is a small smoothing
+  /// constant, not a per-window pair count). Clamped to the intermediate
+  /// budget so a misconfiguration can never wedge admission permanently.
   std::int64_t ingest_pair_estimate = 16;
-  /// Cap on closed windows batched into one merge job.
-  std::int32_t max_windows_per_merge_job = 4;
   /// When non-empty and the flight recorder is capturing
   /// (obs::TraceRecorder::Default().recording()), the first stall-watchdog
   /// force-flush writes a Chrome-trace post-mortem — the recorder's most

@@ -1,6 +1,6 @@
 // MergeDirector admission semantics, mirroring the auto-merge director
 // scenario the design is modeled on (SNIPPETS.md Snippet 1): estimate-based
-// ingest reservation, actual counts diverging from estimates, min-batch
+// ingest admission, actual counts diverging from estimates, min-batch
 // merge thresholds, in-flight budgets, and force-flush at stream end /
 // stall timeout.
 
@@ -18,22 +18,17 @@ TEST(MergeDirectorTest, IngestBlockedByIntermediatePairBudget) {
   config.max_intermediate_pairs = 100;
   MergeDirector director(config);
 
-  // An estimate that fits is admitted and reserved.
+  // An estimate that fits the empty pool is admitted.
   EXPECT_TRUE(director.CanScheduleIngestJob(60, /*now_seconds=*/0.0));
-  director.OnIngestJobStarted(60);
-  // A second 60-pair estimate would overflow the budget.
-  EXPECT_FALSE(director.CanScheduleIngestJob(60, 0.1));
-  EXPECT_EQ(director.stats().ingest_jobs_deferred, 1);
 
-  // The job lands 40 actual pairs (less than its estimate, as in the
-  // snippet's scenario) and releases the reservation.
+  // The step lands 40 actual pairs (less than its estimate, as in the
+  // snippet's scenario).
   director.OnMergeInputProcessed(40);
-  director.OnIngestJobFinished(60);
   EXPECT_EQ(director.stats().pending_pairs, 40);
-  EXPECT_EQ(director.stats().estimated_pairs, 0);
 
-  // Pending pairs count against the same budget: 40 + 61 > 100.
+  // Pending pairs count against the budget: 40 + 61 > 100.
   EXPECT_FALSE(director.CanScheduleIngestJob(61, 0.2));
+  EXPECT_EQ(director.stats().ingest_jobs_deferred, 1);
   EXPECT_TRUE(director.CanScheduleIngestJob(60, 0.3));
 }
 

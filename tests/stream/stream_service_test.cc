@@ -107,7 +107,6 @@ StreamResult RunStream(const BatchReference& ref,
           MergeDirectorStats stats = service.director_stats();
           ADD_FAILURE() << "ingest wedged on camera " << cam << " frame " << f
                         << " pending=" << stats.pending_pairs
-                        << " estimated=" << stats.estimated_pairs
                         << " inflight=" << stats.inflight_merge_jobs
                         << " merge_admitted=" << stats.merge_jobs_admitted
                         << " merge_deferred=" << stats.merge_jobs_deferred
