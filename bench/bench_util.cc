@@ -255,11 +255,12 @@ std::vector<CurvePoint> SweepMethods(const BenchEnv& env,
   options.batch_size = config.batch_size;
   options.seed = config.seed;
   const char* suffix = config.batch_size > 1 ? "-B" : "";
+  const int num_threads = BenchNumThreads();
 
   auto record = [&](const std::string& method, double parameter,
                     merge::CandidateSelector& selector) {
     merge::EvalResult eval = merge::EvaluateSelectorAveraged(
-        env.prepared, selector, options, config.trials, config.num_threads);
+        env.prepared, selector, options, config.trials, num_threads);
     CurvePoint point;
     point.method = method;
     point.parameter = parameter;

@@ -136,13 +136,12 @@ struct MethodSweepConfig {
   std::uint64_t seed = 11;
   /// Independent trials averaged per point (the paper averages 10).
   int trials = 3;
-  /// Worker threads per EvaluateDataset call (0 = hardware_concurrency,
-  /// 1 = serial). Does not change results, only wall-clock.
-  int num_threads = 1;
 };
 
 /// Sweeps every requested method over the environment, producing REC-FPS
-/// curve points (Figs. 5-6 and Table II's raw material).
+/// curve points (Figs. 5-6 and Table II's raw material). Each point's
+/// videos are evaluated with BenchNumThreads() workers; results do not
+/// depend on the count, only wall-clock does.
 std::vector<CurvePoint> SweepMethods(const BenchEnv& env,
                                      const MethodSweepConfig& config);
 
