@@ -1,6 +1,7 @@
 #include "tmerge/core/rng.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -260,6 +261,55 @@ TEST(RngGoldenTest, Fork) {
     EXPECT_EQ(child2.engine()(), expected);
   }
   EXPECT_EQ(parent.engine()(), 16568255686758288963ULL);
+}
+
+// Gamma and Beta carry every TMerge Thompson draw, and their ziggurat is
+// shared with other streams; these pins catch any drift in either. Shape
+// 0.5 takes the boost path, 1 and 2.5 the squeeze with frequent log
+// tests, and 40 the squeeze with almost none. The Beta cases put every
+// shape on both sides.
+TEST(RngGoldenTest, Gamma) {
+  struct Case {
+    double shape;
+    std::array<double, 4> expected;
+  };
+  for (const Case& c :
+       {Case{0.5, {0x1.7d990455f1401p-1, 0x1.f783a626417e9p-4,
+                   0x1.b633fabb38e8fp-2, 0x1.280fdeca62ddbp-1}},
+        Case{1.0, {0x1.64cbce641b1e9p-3, 0x1.cac1e7547308p-2,
+                   0x1.3e61aaa5c0da1p+1, 0x1.77982b4f6e047p-2}},
+        Case{2.5, {0x1.1bec5b6727daap+0, 0x1.bfd47184d3ae7p+0,
+                   0x1.34a145b063799p+2, 0x1.941f1f998c177p+0}},
+        Case{40.0, {0x1.12de90925bb03p+5, 0x1.2e435c0977cfap+5,
+                    0x1.864f11f302649p+5, 0x1.279041b1a06c6p+5}}}) {
+    Rng rng(kGoldenSeed);
+    for (double expected : c.expected) {
+      EXPECT_EQ(rng.Gamma(c.shape), expected) << "shape " << c.shape;
+    }
+  }
+}
+
+TEST(RngGoldenTest, Beta) {
+  struct Case {
+    double alpha;
+    double beta;
+    std::array<double, 4> expected;
+  };
+  for (const Case& c :
+       {Case{0.5, 1.0, {0x1.397b1727baf02p-3, 0x1.2ff14e1a1b9fbp-5,
+                        0x1.39a0b29f0b981p-1, 0x1.1d259c1804293p-5}},
+        Case{1.0, 2.5, {0x1.72f9ecefe30a6p-4, 0x1.39378802d693bp-1,
+                        0x1.a3862a60e38c1p-7, 0x1.d4a64f98d1f94p-4}},
+        Case{2.5, 40.0, {0x1.d33838c057ef9p-6, 0x1.d8e873117f3bcp-4,
+                         0x1.f50dbd0848e04p-7, 0x1.363bf07a44751p-5}},
+        Case{40.0, 0.5, {0x1.eeaaba71fc20bp-1, 0x1.fe63bc63cf2acp-1,
+                         0x1.f6add16a99521p-1, 0x1.ff426a9abeffbp-1}}}) {
+    Rng rng(kGoldenSeed);
+    for (double expected : c.expected) {
+      EXPECT_EQ(rng.Beta(c.alpha, c.beta), expected)
+          << "Beta(" << c.alpha << ", " << c.beta << ")";
+    }
+  }
 }
 
 // One-sample Kolmogorov-Smirnov tests of Gamma and Beta against exact
