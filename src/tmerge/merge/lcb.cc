@@ -76,6 +76,8 @@ SelectionResult LcbSelector::Select(const PairContext& context,
   for (; tau < tau_max; ++tau) {
     double best_bound = std::numeric_limits<double>::infinity();
     std::size_t best_pair = num_pairs;
+    // 2 ln(tau + 1), shared by every arm's radius this round.
+    const double two_log_tau = 2.0 * std::log(static_cast<double>(tau + 1));
     for (std::size_t p = 0; p < num_pairs; ++p) {
       if (samplers[p].Exhausted()) continue;
       // A pair whose initial pull failed (injected fault) still has zero
@@ -85,8 +87,7 @@ SelectionResult LcbSelector::Select(const PairContext& context,
       if (pulls[p] > 0) {
         double mean = sum[p] / static_cast<double>(pulls[p]);
         double radius =
-            std::sqrt(2.0 * std::log(static_cast<double>(tau + 1)) /
-                      static_cast<double>(pulls[p]));
+            std::sqrt(two_log_tau / static_cast<double>(pulls[p]));
         bound = mean - radius;
       }
       if (bound < best_bound) {
