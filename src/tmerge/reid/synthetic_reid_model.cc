@@ -42,10 +42,8 @@ SyntheticReidModel::SyntheticReidModel(const sim::SyntheticVideo& video,
     }
   }
   double max_latent = std::sqrt(max_latent_sq);
-  double expected_noise =
-      config_.observation_noise +
-      config_.hard_crop_prob * config_.hard_crop_noise;
-  double noise_margin = 3.0 * expected_noise * std::sqrt(2.0 * feature_dim_);
+  double noise_margin =
+      3.0 * config_.observation_noise * std::sqrt(2.0 * feature_dim_);
   normalization_scale_ =
       std::max(1e-6, (max_latent + noise_margin) *
                          config_.normalization_headroom);
@@ -53,15 +51,10 @@ SyntheticReidModel::SyntheticReidModel(const sim::SyntheticVideo& video,
 
 FeatureVector SyntheticReidModel::Embed(const CropRef& crop) const {
   core::Rng rng(crop.noise_seed ^ (seed_ * 0x9E3779B97F4A7C15ULL));
-  double noise_stddev =
+  const double noise_stddev =
       config_.observation_noise +
       config_.occlusion_noise_scale * (1.0 - std::clamp(crop.visibility, 0.0, 1.0)) +
       (crop.glared ? config_.glare_noise : 0.0);
-  // Hard crops (blur, pose, truncation) embed poorly; deterministic per
-  // crop so the corruption is a property of the BBox, not of the draw.
-  if (rng.Bernoulli(config_.hard_crop_prob)) {
-    noise_stddev += config_.hard_crop_noise;
-  }
 
   FeatureVector feature(feature_dim_);
   auto it = crop.gt_id == sim::kNoObject ? appearances_.end()

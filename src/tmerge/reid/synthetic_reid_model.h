@@ -18,14 +18,6 @@ struct ReidModelConfig {
   double occlusion_noise_scale = 0.7;
   /// Extra noise added when the crop was captured under glare.
   double glare_noise = 0.6;
-  /// Fraction of crops that embed poorly regardless of occlusion (motion
-  /// blur, odd pose, partial truncation). Deterministic per crop. This is
-  /// what makes a *single* BBox-pair distance a weak estimate of the track
-  /// pair score — the reason sampling methods need multiple draws per pair,
-  /// as with real ReID models.
-  double hard_crop_prob = 0.0;
-  /// Extra per-dimension noise stddev for hard crops.
-  double hard_crop_noise = 0.50;
   /// Multiplier on the distance normalization scale. Values above 1
   /// compress normalized distances toward 0, which matches real ReID
   /// deployments (the normalizer must cover the worst-case distance, so
