@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tmerge/merge/baseline.h"
 #include "tmerge/merge/pipeline.h"
 #include "tmerge/merge/tmerge.h"
 #include "tmerge/metrics/clear_mot.h"
 #include "tmerge/metrics/id_metrics.h"
 #include "tmerge/query/query_recall.h"
+#include "tmerge/reid/synthetic_reid_model.h"
 #include "tmerge/sim/dataset.h"
 #include "tmerge/track/appearance_tracker.h"
 #include "tmerge/track/regression_tracker.h"
@@ -81,10 +85,27 @@ TEST_F(EndToEndTest, TMergeMatchesBaselineRecallMuchFaster) {
   merge::EvalResult tm =
       merge::EvaluateSelectorAveraged({*prepared_}, tmerge, options, 5);
 
-  EXPECT_GT(tm.rec, bl.rec - 0.15);  // Comparable accuracy.
-  EXPECT_GT(tm.fps, 3.0 * bl.fps);   // Large speedup.
+  EXPECT_GT(tm.fps, 3.0 * bl.fps);  // Large speedup.
   EXPECT_LT(tm.usage.TotalInferences(), bl.usage.TotalInferences());
   EXPECT_LT(tm.usage.distance_evals, bl.usage.distance_evals / 100);
+
+  // Comparable accuracy, in law. The fixture has 19 truth pairs, so REC
+  // moves in steps of 0.053, and one ReID realization's gap to BL is too
+  // noisy to test: over 80 model seeds its mean is 0.134 and its sd 0.061
+  // (one TMerge trial per seed). Pooling BL and one TMerge trial over 100
+  // realizations of the fixture's tracking (model seeds 1-100) puts the
+  // mean gap 2.6 standard errors inside the margin.
+  constexpr std::uint64_t kRealizations = 100;
+  std::vector<merge::PreparedVideo> realizations(kRealizations, *prepared_);
+  for (std::uint64_t r = 0; r < kRealizations; ++r) {
+    realizations[r].model = std::make_shared<reid::SyntheticReidModel>(
+        *video_, reid::ReidModelConfig{}, r + 1);
+  }
+  merge::EvalResult bl_law = merge::EvaluateDataset(
+      realizations, baseline, options, /*num_threads=*/0);
+  merge::EvalResult tm_law = merge::EvaluateDataset(
+      realizations, tmerge, options, /*num_threads=*/0);
+  EXPECT_GT(tm_law.rec, bl_law.rec - 0.15);
 }
 
 TEST_F(EndToEndTest, MergingImprovesIdentityMetrics) {
