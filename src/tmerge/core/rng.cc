@@ -48,19 +48,22 @@ const ZigguratTables& Ziggurat() {
   return tables;
 }
 
-/// Uniform double in (0, 1], safe to take the log of.
-double OpenUniform(Mt19937Engine& engine) {
-  return static_cast<double>((engine() >> 11) + 1) * 0x1.0p-53;
+/// Uniform double in (0, 1], safe to take the log of. `next_word` is any
+/// callable that returns the source's next 64-bit word.
+template <typename NextWord>
+double OpenUniform(NextWord& next_word) {
+  return static_cast<double>((next_word() >> 11) + 1) * 0x1.0p-53;
 }
 
-/// Standard normal draw. One 64-bit word drives the common case: its low
-/// 7 bits pick the layer and its top 53 bits the signed uniform. Keeping
-/// the two bit ranges disjoint avoids the layer/uniform correlation that
-/// Doornik (2005) found in the original, which took both from one 32-bit
-/// word.
-double ZigguratNormal(Mt19937Engine& engine, const ZigguratTables& zig) {
+/// Standard normal draw from any 64-bit word source. One word drives the
+/// common case: its low 7 bits pick the layer and its top 53 bits the
+/// signed uniform. Keeping the two bit ranges disjoint avoids the
+/// layer/uniform correlation that Doornik (2005) found in the original,
+/// which took both from one 32-bit word.
+template <typename NextWord>
+double ZigguratNormal(NextWord& next_word, const ZigguratTables& zig) {
   for (;;) {
-    const std::uint64_t bits = engine();
+    const std::uint64_t bits = next_word();
     const std::size_t layer = bits & (kZigLayers - 1);
     // Bits 11..63 as a signed integer, made odd and scaled by 2^-53: a
     // uniform in (-1, 1), symmetric about zero and never zero.
@@ -74,8 +77,8 @@ double ZigguratNormal(Mt19937Engine& engine, const ZigguratTables& zig) {
       double tail;
       double y;
       do {
-        tail = std::log(OpenUniform(engine)) / kZigR;
-        y = std::log(OpenUniform(engine));
+        tail = std::log(OpenUniform(next_word)) / kZigR;
+        y = std::log(OpenUniform(next_word));
       } while (-2.0 * y < tail * tail);
       return u < 0.0 ? tail - kZigR : kZigR - tail;
     }
@@ -85,12 +88,17 @@ double ZigguratNormal(Mt19937Engine& engine, const ZigguratTables& zig) {
     const double outer = std::exp(-0.5 * (zig.x[layer] * zig.x[layer] - x2));
     const double inner =
         std::exp(-0.5 * (zig.x[layer + 1] * zig.x[layer + 1] - x2));
-    const double height = static_cast<double>(engine() >> 11) * 0x1.0p-53;
+    const double height = static_cast<double>(next_word() >> 11) * 0x1.0p-53;
     if (outer + height * (inner - outer) < 1.0) return x;
   }
 }
 
 }  // namespace
+
+double KeyedStream::StandardNormal() {
+  auto next_word = [this] { return Next(); };
+  return ZigguratNormal(next_word, Ziggurat());
+}
 
 Mt19937Engine::Mt19937Engine(result_type seed) : index_(kStateSize) {
   state_[0] = seed;

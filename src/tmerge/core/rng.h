@@ -51,6 +51,48 @@ class Mt19937Engine {
   std::size_t index_;
 };
 
+/// SplitMix64's output step (Steele, Lea & Flood 2014): adds the golden-ratio
+/// increment, then applies a bijective 64-bit mixer. The library's one
+/// mixer: KeyedStream is built on it, and fault injection keys its
+/// decisions with it.
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// A cheap keyed stream for many short, independent sequences of draws:
+/// the SplitMix64 generator, whose whole state is one 64-bit word. It is
+/// built in O(1), so a component can build one per item from that item's
+/// key, as SyntheticReidModel does per crop. Its output is fixed by this
+/// file alone, on any standard library.
+///
+/// Keys should be mixed (for example by SplitMix64) before use: the
+/// stream keyed k + 0x9E3779B97F4A7C15 is the stream keyed k, one draw
+/// on. Not thread-safe.
+class KeyedStream {
+ public:
+  explicit KeyedStream(std::uint64_t key) : state_(key) {}
+
+  /// Next 64-bit output: SplitMix64 of the state, then the Weyl step that
+  /// advances the state by the golden-ratio increment.
+  std::uint64_t Next() {
+    const std::uint64_t word = SplitMix64(state_);
+    state_ += 0x9E3779B97F4A7C15ULL;
+    return word;
+  }
+
+  /// Uniform double in [0, 1) from the top 53 bits of one word.
+  double Uniform01() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+
+  /// Standard normal draw from the ziggurat Rng::Gamma uses.
+  double StandardNormal();
+
+ private:
+  std::uint64_t state_;
+};
+
 /// Deterministic pseudo-random number generator used by every randomized
 /// component in the library. All components take an explicit seed (directly
 /// or via an Rng), which makes tests and benches reproducible bit-for-bit.
@@ -86,8 +128,8 @@ class Rng {
   /// Normal (Gaussian) sample with the given mean and standard deviation.
   ///
   /// Deliberately left as a fresh standard-library normal distribution per
-  /// call, which discards the polar method's spare value. Its outputs are the simulated
-  /// scenes, detections and ReID features behind every pinned benchmark
+  /// call, which discards the polar method's spare value. Its outputs are
+  /// the simulated scenes and detections behind every pinned benchmark
   /// number and dataset fingerprint; caching the spare or switching it to
   /// the ziggurat would silently regenerate all of them.
   double Normal(double mean, double stddev);

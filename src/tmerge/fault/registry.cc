@@ -4,18 +4,12 @@
 #include <charconv>
 
 #include "tmerge/core/mutex.h"
+#include "tmerge/core/rng.h"
 #include "tmerge/obs/metrics.h"
 
 namespace tmerge::fault {
 
 namespace internal {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t HashName(std::string_view name) {
   std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis.
@@ -29,7 +23,8 @@ std::uint64_t HashName(std::string_view name) {
 double KeyedUniform(std::uint64_t seed, std::string_view name,
                     std::uint64_t key) {
   // Two mixing rounds so related keys (key, key ^ 1, ...) decorrelate.
-  std::uint64_t mixed = SplitMix64(SplitMix64(seed ^ HashName(name)) ^ key);
+  std::uint64_t mixed =
+      core::SplitMix64(core::SplitMix64(seed ^ HashName(name)) ^ key);
   // Top 53 bits -> uniform double in [0, 1), portable across platforms.
   return static_cast<double>(mixed >> 11) * 0x1.0p-53;
 }

@@ -125,14 +125,11 @@ Registry& GlobalRegistry();
 
 namespace internal {
 
-/// splitmix64 — the keyed-decision mixer. Exposed for tests that verify
-/// schedule reproducibility without going through a failpoint site.
-std::uint64_t SplitMix64(std::uint64_t x);
-
 /// FNV-1a hash of a failpoint name.
 std::uint64_t HashName(std::string_view name);
 
-/// The uniform-in-[0,1) value the (seed, name, key) triple maps to.
+/// The uniform-in-[0,1) value the (seed, name, key) triple maps to: two
+/// core::SplitMix64 rounds over the seed, the name's hash and the key.
 double KeyedUniform(std::uint64_t seed, std::string_view name,
                     std::uint64_t key);
 

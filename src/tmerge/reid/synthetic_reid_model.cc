@@ -12,7 +12,7 @@ namespace tmerge::reid {
 SyntheticReidModel::SyntheticReidModel(const sim::SyntheticVideo& video,
                                        const ReidModelConfig& config,
                                        std::uint64_t seed)
-    : config_(config), seed_(seed), feature_dim_(16) {
+    : config_(config), noise_key_(core::SplitMix64(seed)), feature_dim_(16) {
   for (const auto& track : video.tracks) {
     TMERGE_CHECK(!track.appearance.empty());
     appearances_.emplace(track.id, track.appearance);
@@ -50,7 +50,10 @@ SyntheticReidModel::SyntheticReidModel(const sim::SyntheticVideo& video,
 }
 
 FeatureVector SyntheticReidModel::Embed(const CropRef& crop) const {
-  core::Rng rng(crop.noise_seed ^ (seed_ * 0x9E3779B97F4A7C15ULL));
+  // The second SplitMix64 round of the key (noise_key_ holds the first):
+  // MOT-format input numbers its crops' noise seeds 1, 2, 3, ..., and the
+  // round keeps those adjacent keys' streams unrelated.
+  core::KeyedStream noise(core::SplitMix64(noise_key_ ^ crop.noise_seed));
   const double noise_stddev =
       config_.observation_noise +
       config_.occlusion_noise_scale * (1.0 - std::clamp(crop.visibility, 0.0, 1.0)) +
@@ -62,13 +65,14 @@ FeatureVector SyntheticReidModel::Embed(const CropRef& crop) const {
   if (it != appearances_.end()) {
     const sim::AppearanceVector& latent = it->second;
     for (std::size_t i = 0; i < feature_dim_; ++i) {
-      feature[i] = latent[i] + rng.Normal(0.0, noise_stddev);
+      feature[i] = latent[i] + noise_stddev * noise.StandardNormal();
     }
   } else {
     // False positive (or unknown object): an arbitrary background embedding,
-    // stable for this crop because the Rng is seeded by the crop.
+    // stable for this crop because the stream is keyed by the crop.
     for (std::size_t i = 0; i < feature_dim_; ++i) {
-      feature[i] = rng.Normal(0.0, 1.2) + rng.Normal(0.0, noise_stddev);
+      const double background = 1.2 * noise.StandardNormal();
+      feature[i] = background + noise_stddev * noise.StandardNormal();
     }
   }
   return feature;

@@ -33,9 +33,15 @@ struct ReidModelConfig {
 /// between different objects, with overlap controlled by the noise level
 /// and the appearance-space cluster structure.
 ///
-/// Embedding is deterministic per crop (seeded by the crop's noise_seed and
-/// the model seed), so repeated extraction of the same BBox yields the same
-/// feature — making the paper's feature-reuse optimization meaningful.
+/// Embedding is deterministic per crop, so repeated extraction of the same
+/// BBox yields the same feature — making the paper's feature-reuse
+/// optimization meaningful. Each crop's noise comes from its own
+/// core::KeyedStream, keyed by SplitMix64(SplitMix64(model seed) ^
+/// noise_seed): per dimension, the latent value plus noise_stddev times a
+/// ziggurat normal, in dimension order. The noise stddev grows with
+/// occlusion and glare (ReidModelConfig). No draw goes through <random>,
+/// so features do not depend on a standard library's distribution
+/// algorithms.
 ///
 /// This class models only *what* the network computes; *how long* it takes
 /// is charged separately via InferenceMeter (cost_model.h).
@@ -57,7 +63,9 @@ class SyntheticReidModel : public ReidModel {
 
  private:
   ReidModelConfig config_;
-  std::uint64_t seed_;
+  /// SplitMix64(model seed): the first of the two rounds that key each
+  /// crop's noise stream.
+  std::uint64_t noise_key_;
   std::size_t feature_dim_;
   double normalization_scale_;
   std::unordered_map<sim::GtObjectId, sim::AppearanceVector> appearances_;

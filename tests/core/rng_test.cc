@@ -442,6 +442,80 @@ TEST(RngGammaBoostKsTest, HalfShapeMatchesExactCdf) {
   EXPECT_LT(distance, KsCritical());
 }
 
+double StandardNormalCdf(double x) {
+  return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+TEST(KeyedStreamTest, NextIsTheSplitMix64Sequence) {
+  KeyedStream stream(7);
+  std::uint64_t state = 7;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(stream.Next(), SplitMix64(state));
+    state += 0x9E3779B97F4A7C15ULL;
+  }
+  // The reference output of SplitMix64 seeded with 0 (Vigna's splitmix64.c).
+  EXPECT_EQ(KeyedStream(0).Next(), 0xE220A8397B1DCDAFULL);
+}
+
+TEST(KeyedStreamTest, StandardNormalMatchesPhi) {
+  KeyedStream stream(SplitMix64(3000));
+  std::vector<double> samples(kKsSamples);
+  for (double& x : samples) x = stream.StandardNormal();
+  EXPECT_LT(KsDistance(std::move(samples), StandardNormalCdf), KsCritical());
+}
+
+TEST(KeyedStreamTest, AdjacentKeysFirstDrawsMatchPhi) {
+  // The first 16 draws of keys 1, 2, 3, ...: one crop's embedding each,
+  // keyed the way MOT-format input numbers its crops, here without the
+  // extra mixing round SyntheticReidModel adds on top.
+  constexpr int kDrawsPerKey = 16;
+  std::vector<double> samples;
+  samples.reserve(kKsSamples);
+  for (std::uint64_t key = 1; samples.size() < kKsSamples; ++key) {
+    KeyedStream stream(key);
+    for (int i = 0; i < kDrawsPerKey; ++i) {
+      samples.push_back(stream.StandardNormal());
+    }
+  }
+  EXPECT_LT(KsDistance(std::move(samples), StandardNormalCdf), KsCritical());
+}
+
+TEST(KeyedStreamTest, Uniform01MatchesUniform) {
+  KeyedStream stream(SplitMix64(3001));
+  std::vector<double> samples(kKsSamples);
+  for (double& u : samples) {
+    u = stream.Uniform01();
+    ASSERT_GE(u, 0.0);
+    ASSERT_LT(u, 1.0);
+  }
+  EXPECT_LT(KsDistance(std::move(samples), [](double u) { return u; }),
+            KsCritical());
+}
+
+TEST(KeyedStreamTest, AdjacentKeysUncorrelated) {
+  // Pearson correlation of the first normals of keys k and k + 1. Under
+  // independence it is about N(0, 1/n); 3.29 / sqrt(n) is the two-sided
+  // bound at significance 0.001.
+  constexpr int kPairs = 100000;
+  double previous = KeyedStream(1).StandardNormal();
+  double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_yy = 0.0, sum_xy = 0.0;
+  for (std::uint64_t key = 2; key < kPairs + 2; ++key) {
+    const double next = KeyedStream(key).StandardNormal();
+    sum_x += previous;
+    sum_y += next;
+    sum_xx += previous * previous;
+    sum_yy += next * next;
+    sum_xy += previous * next;
+    previous = next;
+  }
+  const double n = kPairs;
+  const double covariance = sum_xy / n - (sum_x / n) * (sum_y / n);
+  const double correlation =
+      covariance / std::sqrt((sum_xx / n - (sum_x / n) * (sum_x / n)) *
+                             (sum_yy / n - (sum_y / n) * (sum_y / n)));
+  EXPECT_LT(std::fabs(correlation), 3.29 / std::sqrt(n));
+}
+
 TEST(RngDeathTest, InvalidArgumentsAbort) {
   Rng rng(1);
   EXPECT_DEATH(rng.Uniform(3.0, 1.0), "TMERGE_CHECK");

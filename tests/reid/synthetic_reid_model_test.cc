@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "tmerge/core/rng.h"
 #include "tmerge/sim/video_generator.h"
 
@@ -125,6 +130,75 @@ TEST(SyntheticReidModelTest, NormalizationScalePositive) {
   sim::SyntheticVideo video = TwoObjectVideo();
   SyntheticReidModel model(video, {}, 31);
   EXPECT_GT(model.normalization_scale(), 0.0);
+}
+
+TEST(SyntheticReidModelTest, NoiseLawPerDimension) {
+  // Over many crops of one GT object, feature - latent has mean 0 and
+  // standard deviation sigma = observation_noise + occlusion_noise_scale *
+  // (1 - visibility) + glare_noise (when glared) in every dimension. Noise
+  // seeds count 1, 2, 3, ..., as MOT-format input numbers its crops.
+  sim::SyntheticVideo video = TwoObjectVideo();
+  const ReidModelConfig config;
+  SyntheticReidModel model(video, config, 41);
+  const sim::AppearanceVector& latent = video.tracks[1].appearance;
+  constexpr int kCrops = 4000;
+  struct Case {
+    double visibility;
+    bool glared;
+  };
+  std::uint64_t noise_seed = 1;
+  for (Case c : {Case{1.0, false}, Case{1.0, true}, Case{0.4, false},
+                 Case{0.4, true}}) {
+    const double sigma = config.observation_noise +
+                         config.occlusion_noise_scale * (1.0 - c.visibility) +
+                         (c.glared ? config.glare_noise : 0.0);
+    std::vector<double> sum(latent.size(), 0.0);
+    std::vector<double> sum_sq(latent.size(), 0.0);
+    for (int n = 0; n < kCrops; ++n) {
+      FeatureVector feature =
+          model.Embed(Crop(n, 1, noise_seed++, c.visibility, c.glared));
+      for (std::size_t i = 0; i < latent.size(); ++i) {
+        const double error = feature[i] - latent[i];
+        sum[i] += error;
+        sum_sq[i] += error * error;
+      }
+    }
+    // Five standard errors: sigma / sqrt(n) for the mean, about
+    // sigma / sqrt(2 n) for the standard deviation.
+    for (std::size_t i = 0; i < latent.size(); ++i) {
+      const double mean = sum[i] / kCrops;
+      const double stddev = std::sqrt(sum_sq[i] / kCrops - mean * mean);
+      EXPECT_NEAR(mean, 0.0, 5.0 * sigma / std::sqrt(kCrops))
+          << "dimension " << i << ", sigma " << sigma;
+      EXPECT_NEAR(stddev, sigma, 5.0 * sigma / std::sqrt(2.0 * kCrops))
+          << "dimension " << i << ", sigma " << sigma;
+    }
+  }
+}
+
+TEST(SyntheticReidModelTest, EmbedBitsMatchReference) {
+  // FNV-1a over the bit patterns of every feature of a fixed list of
+  // crops: GT objects and a false positive, clear, occluded and glared,
+  // with small, adjacent and large noise seeds. Any change to how a crop's
+  // noise is drawn moves it, and with it every pinned REC and count.
+  sim::SyntheticVideo video = TwoObjectVideo();
+  SyntheticReidModel model(video, {}, 42);
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const CropRef& crop :
+       {Crop(0, 0, 1), Crop(1, 0, 2), Crop(2, 1, 3, 0.5),
+        Crop(3, 1, 0xDEADBEEFULL, 1.0, true),
+        Crop(4, sim::kNoObject, 5), Crop(5, 0, 0),
+        Crop(6, sim::kNoObject, ~std::uint64_t{0}, 0.2, true)}) {
+    for (double value : model.Embed(crop)) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xFF;
+        hash *= 0x100000001B3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x3F5A50B9944503BFULL);
 }
 
 TEST(SyntheticReidModelTest, WorksOnGeneratedVideo) {
