@@ -18,9 +18,8 @@ checkout:
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build --target bench_fig05_rec_fps \\
         bench_tab02_fps_at_rec bench_fig07_tau_sweep
-    python3 tools/paper_goldens.py              # check all three
-    python3 tools/paper_goldens.py fig07_tau_sweep
-    python3 tools/paper_goldens.py --update     # re-pin after a deliberate change
+    python3 tools/paper_goldens.py            # check
+    python3 tools/paper_goldens.py --update   # re-pin after a deliberate change
 """
 
 import argparse
@@ -30,12 +29,13 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUILD = os.path.join(ROOT, "build")
 GOLDENS = os.path.join(ROOT, "bench", "goldens")
 BENCHES = ("fig05_rec_fps", "tab02_fps_at_rec", "fig07_tau_sweep")
-# Table columns that hold wall-clock time. Each must be its table's last
-# column: the printer pads every column to its widest cell, so a masked
-# column anywhere else would shift the ones after it.
-MASKED_COLUMNS = ("wall-seconds",)
+# The one table column that holds wall-clock time (fig07's). It must be
+# its table's last column: the printer pads every column to its widest
+# cell, so a masked column anywhere else would shift the ones after it.
+MASKED_COLUMN = "wall-seconds"
 MASK = "<masked>"
 
 
@@ -44,9 +44,9 @@ def fail(message):
     sys.exit(2)
 
 
-def run(build_dir, name):
+def run(name):
     """Returns the stdout of one bench run."""
-    binary = os.path.join(build_dir, "bench", "bench_" + name)
+    binary = os.path.join(BUILD, "bench", "bench_" + name)
     if not os.access(binary, os.X_OK):
         fail("%s is not built" % binary)
     env = dict(os.environ, TMERGE_OBS="0", TMERGE_NUM_THREADS="4")
@@ -58,26 +58,22 @@ def run(build_dir, name):
 
 
 def mask(text):
-    """Replaces every cell of the masked columns, header and rule kept."""
+    """Replaces every cell of the masked column, header and rule kept."""
     lines = text.splitlines(True)
     out = []
     offset = None
     for i, line in enumerate(lines):
         body = line.rstrip("\n")
-        rule_follows = (i + 1 < len(lines) and
-                        set(lines[i + 1].rstrip("\n")) == {"-"})
-        if rule_follows:
+        header = (i + 1 < len(lines) and
+                  set(lines[i + 1].rstrip("\n")) == {"-"})
+        if header:
+            at = body.find(MASKED_COLUMN)
+            if at >= 0 and body[at + len(MASKED_COLUMN):].strip():
+                fail("%r is not its table's last column" % MASKED_COLUMN)
+            offset = at if at >= 0 else None
+        elif not body:
             offset = None
-            for column in MASKED_COLUMNS:
-                at = body.find(column)
-                if at < 0:
-                    continue
-                if body[at + len(column):].strip():
-                    fail("masked column %r is not its table's last" % column)
-                offset = at
-        elif offset is not None and not body:
-            offset = None
-        if offset is not None and not rule_follows:
+        elif offset is not None:
             fill = "-" * len(MASK) if set(body) == {"-"} else MASK
             line = body[:offset] + fill + "\n"
         out.append(line)
@@ -86,24 +82,15 @@ def mask(text):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="benches to check, from %s (default: all)" %
-                        ", ".join(BENCHES))
-    parser.add_argument("--build-dir", default=os.path.join(ROOT, "build"),
-                        help="CMake build tree holding bench/ (default: "
-                        "build)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the goldens instead of checking them")
     args = parser.parse_args()
-    for name in args.names:
-        if name not in BENCHES:
-            parser.error("unknown bench %r" % name)
 
     moved = 0
-    for name in args.names or BENCHES:
+    for name in BENCHES:
         path = os.path.join(GOLDENS, name + ".txt")
         rel = os.path.relpath(path, ROOT)
-        now = mask(run(args.build_dir, name))
+        now = mask(run(name))
         if args.update:
             os.makedirs(GOLDENS, exist_ok=True)
             with open(path, "w") as f:
