@@ -65,8 +65,9 @@ constexpr std::uint64_t SplitMix64(std::uint64_t x) {
 /// A cheap keyed stream for many short, independent sequences of draws:
 /// the SplitMix64 generator, whose whole state is one 64-bit word. It is
 /// built in O(1), so a component can build one per item from that item's
-/// key, as SyntheticReidModel does per crop. Its output is fixed by this
-/// file alone, on any standard library.
+/// key, as SyntheticReidModel does per crop. No draw goes through
+/// <random>: Next and Uniform01 are fixed by this file alone, and
+/// StandardNormal adds only the ziggurat's tables.
 ///
 /// Keys should be mixed (for example by SplitMix64) before use: the
 /// stream keyed k + 0x9E3779B97F4A7C15 is the stream keyed k, one draw
