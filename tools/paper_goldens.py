@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Check the paper benches' deterministic output against committed goldens.
 
-bench_fig05_rec_fps, bench_tab02_fps_at_rec and bench_fig07_tau_sweep are
-seeded end to end: every REC, simulated FPS and second, and every
-inference, distance and cache-hit count they print is fixed, and none of
-it depends on the thread count. The one exception is fig07's
-``wall-seconds`` column, which is masked here rather than pinned.
+bench_fig05_rec_fps, bench_tab02_fps_at_rec, bench_fig07_tau_sweep and
+bench_fig08_ablation are seeded end to end: every REC, simulated FPS and
+second, and every inference, distance and cache-hit count they print is
+fixed, and none of it depends on the thread count. The one exception is
+fig07's ``wall-seconds`` column, which is masked here rather than pinned.
+fig08 is the only one that runs TMerge with BetaInit or ULB switched off.
 
 This tool runs each bench with ``TMERGE_OBS=0 TMERGE_NUM_THREADS=4``,
 masks the wall-clock columns and compares stdout with
@@ -17,7 +18,7 @@ checkout:
 
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build --target bench_fig05_rec_fps \\
-        bench_tab02_fps_at_rec bench_fig07_tau_sweep
+        bench_tab02_fps_at_rec bench_fig07_tau_sweep bench_fig08_ablation
     python3 tools/paper_goldens.py            # check
     python3 tools/paper_goldens.py --update   # re-pin after a deliberate change
 """
@@ -31,7 +32,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, "build")
 GOLDENS = os.path.join(ROOT, "bench", "goldens")
-BENCHES = ("fig05_rec_fps", "tab02_fps_at_rec", "fig07_tau_sweep")
+BENCHES = ("fig05_rec_fps", "tab02_fps_at_rec", "fig07_tau_sweep",
+           "fig08_ablation")
 # The one table column that holds wall-clock time (fig07's). It must be
 # its table's last column: the printer pads every column to its widest
 # cell, so a masked column anywhere else would shift the ones after it.
