@@ -28,8 +28,6 @@ class LcbSelector : public CandidateSelector {
 
   std::string name() const override { return "LCB"; }
 
-  std::int64_t tau_max() const { return tau_max_; }
-
  private:
   std::int64_t tau_max_;
 };

@@ -54,18 +54,10 @@ class PairContext {
   /// pairs; 0 when adjacent/overlapping).
   std::int32_t TemporalGap(std::size_t index) const;
 
-  /// The BBoxes of the two tracks of pair `index`.
-  const std::vector<track::TrackedBox>& BoxesA(std::size_t index) const {
-    return TrackA(index).boxes;
-  }
-  const std::vector<track::TrackedBox>& BoxesB(std::size_t index) const {
-    return TrackB(index).boxes;
-  }
-
   /// The CropRefs of the two tracks of pair `index`, precomputed at
-  /// construction (CropsA(i)[r] == MakeCropRef(BoxesA(i)[r])). Selectors
-  /// sweep these instead of re-materializing a CropRef per probe in their
-  /// inner loops; tracks shared by several pairs share one vector.
+  /// construction (CropsA(i)[r] == MakeCropRef(TrackA(i).boxes[r])).
+  /// Selectors sweep these instead of re-materializing a CropRef per probe
+  /// in their inner loops; tracks shared by several pairs share one vector.
   const std::vector<reid::CropRef>& CropsA(std::size_t index) const;
   const std::vector<reid::CropRef>& CropsB(std::size_t index) const;
 
@@ -105,7 +97,6 @@ class BoxPairSampler {
   }
 
   std::int64_t sampled_count() const { return sampled_count_; }
-  std::int64_t total() const { return rows_ * cols_; }
 
  private:
   /// Adds `cell` to sampled_; returns false if it was already there.

@@ -31,7 +31,6 @@ void ReidGuard::RecordOutcome(bool success) {
     consecutive_failures_ = 0;
     return;
   }
-  ++failed_pulls_;
   ++consecutive_failures_;
   if (!breaker_open_ && policy_.breaker_failure_threshold > 0 &&
       consecutive_failures_ >= policy_.breaker_failure_threshold) {
@@ -41,10 +40,7 @@ void ReidGuard::RecordOutcome(bool success) {
 }
 
 FeatureView ReidGuard::TryGet(const CropRef& crop) {
-  if (breaker_open_) {
-    ++failed_pulls_;
-    return FeatureView();
-  }
+  if (breaker_open_) return FeatureView();
   for (int attempt = 0;; ++attempt) {
     core::Result<FeatureView> result = cache_.TryGetOrEmbed(
         crop, model_, meter_, static_cast<std::uint64_t>(attempt));
@@ -64,10 +60,7 @@ FeatureView ReidGuard::TryGet(const CropRef& crop) {
 
 std::vector<FeatureView> ReidGuard::TryGetBatch(
     const std::vector<CropRef>& crops) {
-  if (breaker_open_) {
-    failed_pulls_ += static_cast<std::int64_t>(crops.size());
-    return std::vector<FeatureView>(crops.size());
-  }
+  if (breaker_open_) return std::vector<FeatureView>(crops.size());
   std::vector<FeatureView> out =
       cache_.TryGetOrEmbedBatch(crops, model_, meter_, 0);
   for (int attempt = 1; attempt <= policy_.max_retries; ++attempt) {

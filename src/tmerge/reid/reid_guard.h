@@ -35,9 +35,9 @@ struct ReidFaultPolicy {
 /// Per-window fault-tolerance wrapper over FeatureCache: bounded retry
 /// with deterministic sim-clock backoff plus a circuit breaker. Selectors
 /// pull features through a guard instead of the cache directly; an invalid
-/// view return is a *failed pull* — the selector charges it to the budget
-/// but must not update posteriors from it (the degraded mode's safety
-/// rule).
+/// view return is a *failed pull* — the selector counts it and charges it
+/// to the budget but must not update posteriors from it (the degraded
+/// mode's safety rule; merge::internal::ArmTable applies it).
 ///
 /// With no failpoints armed (or under -DTMERGE_FAULT_DISABLED) every pull
 /// succeeds on the first attempt and the meter sees exactly the charges
@@ -64,10 +64,6 @@ class ReidGuard {
   /// point on.
   bool breaker_open() const { return breaker_open_; }
 
-  /// Pulls that exhausted retries (or hit an open breaker) and returned
-  /// an invalid view.
-  std::int64_t failed_pulls() const { return failed_pulls_; }
-
   /// Retry attempts made (not counting first attempts).
   std::int64_t retries() const { return retries_; }
 
@@ -82,7 +78,6 @@ class ReidGuard {
   InferenceMeter& meter_;
   bool breaker_open_ = false;
   int consecutive_failures_ = 0;
-  std::int64_t failed_pulls_ = 0;
   std::int64_t retries_ = 0;
 };
 
