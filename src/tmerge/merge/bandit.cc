@@ -73,7 +73,8 @@ const std::vector<std::optional<double>>& ArmTable::Pull(
 void ArmTable::RunUlb(std::int64_t tau, std::size_t k) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = samplers_.size();
-  std::vector<double> lower_of(n), upper_of(n);
+  lower_of_.resize(n);
+  upper_of_.resize(n);
   double log_tau = std::log(std::max<double>(2.0, static_cast<double>(tau)));
   for (std::size_t p = 0; p < n; ++p) {
     double lower = -kInf, upper = kInf;
@@ -84,35 +85,70 @@ void ArmTable::RunUlb(std::int64_t tau, std::size_t k) {
       upper = mean(p) + radius;
     }
     if (exhausted(p)) lower = upper = mean(p);  // Exact score.
-    lower_of[p] = lower;
-    upper_of[p] = upper;
+    lower_of_[p] = lower;
+    upper_of_[p] = upper;
   }
-  std::vector<double> lowers = lower_of, uppers = upper_of;
-  std::sort(lowers.begin(), lowers.end());
-  std::sort(uppers.begin(), uppers.end());
+  const UlbPruned pruned =
+      DecideUlb(lower_of_, upper_of_, pulls_, live_, k, scratch_);
+  result_.ulb_pruned_in += pruned.in;
+  result_.ulb_pruned_out += pruned.out;
+  meter_.ChargeOverhead(static_cast<std::int64_t>(n));
+}
 
-  for (std::size_t p = 0; p < n; ++p) {
-    if (!live(p) || pulls_[p] == 0) continue;
-    // Pairs that could rank below p: lower bound strictly below p's upper.
-    auto possibly_below = static_cast<std::size_t>(
-        std::lower_bound(lowers.begin(), lowers.end(), upper_of[p]) -
-        lowers.begin());
-    if (lower_of[p] < upper_of[p]) --possibly_below;  // Exclude p itself.
-    if (possibly_below + 1 <= k) {
-      live_[p] = 0;
-      ++result_.ulb_pruned_in;
+UlbPruned DecideUlb(std::span<const double> lower,
+                    std::span<const double> upper,
+                    std::span<const std::int64_t> pulls,
+                    std::span<std::uint8_t> live, std::size_t k,
+                    std::vector<double>& scratch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Algorithm 4 only counts: pairs whose lower bound is below p's upper
+  // (p itself excluded), and pairs whose upper bound is below p's lower,
+  // each against k. Fewer than j + 1 values lie below x exactly when the
+  // j-th smallest value (0-indexed) is >= x, so three order statistics
+  // decide every arm: the (k-1)-th and k-th smallest lower bounds and the
+  // (k-1)-th smallest upper bound. An order statistic before the first is
+  // -inf and one past the last +inf, which is what the counts imply.
+  const auto kk = static_cast<std::ptrdiff_t>(k);
+  const auto n = static_cast<std::ptrdiff_t>(lower.size());
+  auto order_statistic = [&](std::span<const double> values,
+                             std::ptrdiff_t j) {
+    if (j < 0) return -kInf;
+    if (j >= n) return kInf;
+    scratch.assign(values.begin(), values.end());
+    std::nth_element(scratch.begin(), scratch.begin() + j, scratch.end());
+    return scratch[static_cast<std::size_t>(j)];
+  };
+  const double lower_k = order_statistic(lower, kk);
+  double lower_k_minus_1 = kInf;
+  if (kk == 0) {
+    lower_k_minus_1 = -kInf;
+  } else if (kk < n) {
+    // nth_element left the k smallest lower bounds in front of the k-th.
+    lower_k_minus_1 = *std::max_element(scratch.begin(), scratch.begin() + kk);
+  } else if (kk == n) {
+    lower_k_minus_1 = *std::max_element(lower.begin(), lower.end());
+  }
+  const double upper_k_minus_1 = order_statistic(upper, kk - 1);
+
+  UlbPruned pruned;
+  for (std::size_t p = 0; p < lower.size(); ++p) {
+    if (live[p] == 0 || pulls[p] == 0) continue;
+    // Pairs that could rank below p: fewer than k of them, p excluded,
+    // have a lower bound strictly below p's upper.
+    const bool self = lower[p] < upper[p];
+    if ((self ? lower_k : lower_k_minus_1) >= upper[p]) {
+      live[p] = 0;
+      ++pruned.in;
       continue;
     }
-    // Pairs certainly below p: upper bound strictly below p's lower.
-    auto certainly_below = static_cast<std::size_t>(
-        std::lower_bound(uppers.begin(), uppers.end(), lower_of[p]) -
-        uppers.begin());
-    if (certainly_below >= k) {
-      live_[p] = 0;
-      ++result_.ulb_pruned_out;
+    // Pairs certainly below p: at least k upper bounds strictly below p's
+    // lower.
+    if (upper_k_minus_1 < lower[p]) {
+      live[p] = 0;
+      ++pruned.out;
     }
   }
-  meter_.ChargeOverhead(static_cast<std::int64_t>(n));
+  return pruned;
 }
 
 SelectionResult ArmTable::Finish(const std::vector<double>& scores,

@@ -16,6 +16,24 @@
 
 namespace tmerge::merge::internal {
 
+/// Arms ULB decided in one pass.
+struct UlbPruned {
+  std::int64_t in = 0;
+  std::int64_t out = 0;
+};
+
+/// Algorithm 4's decision once every arm's Hoeffding bounds are known:
+/// clears `live[p]` of each live arm with `pulls[p] > 0` whose membership
+/// in the top `k` the bounds already decide, and counts it. Pruned in: fewer
+/// than k other arms have a lower bound below p's upper. Pruned out: at
+/// least k arms have an upper bound below p's lower. Linear time by order
+/// statistics; `scratch` is reused storage. ArmTable::RunUlb is the caller.
+UlbPruned DecideUlb(std::span<const double> lower,
+                    std::span<const double> upper,
+                    std::span<const std::int64_t> pulls,
+                    std::span<std::uint8_t> live, std::size_t k,
+                    std::vector<double>& scratch);
+
 /// One window's arms for the bandit selectors, LCB and TMerge, which differ
 /// only in how they pick the next arm. An arm is a track pair: its
 /// BoxPairSampler, the sum of its sampled distances, its successful pulls
@@ -92,6 +110,10 @@ class ArmTable {
   /// Round buffers: the two crops of each drawn cell, and each outcome.
   std::vector<reid::CropRef> crops_;
   std::vector<std::optional<double>> distances_;
+  /// RunUlb's bounds per arm, and the copy its order statistics permute.
+  std::vector<double> lower_of_;
+  std::vector<double> upper_of_;
+  std::vector<double> scratch_;
   SelectionResult result_;
 };
 
