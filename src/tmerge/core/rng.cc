@@ -139,14 +139,13 @@ Rng Rng::Fork() {
   return Rng(seed);
 }
 
-double Rng::Uniform01() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
+double Rng::Uniform01() { return CanonicalDouble(engine_()); }
 
 double Rng::Uniform(double lo, double hi) {
   TMERGE_CHECK(lo <= hi);
   if (lo == hi) return lo;
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  // uniform_real_distribution's formula, operation for operation.
+  return Uniform01() * (hi - lo) + lo;
 }
 
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
@@ -166,7 +165,8 @@ double Rng::Normal(double mean, double stddev) {
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  return std::bernoulli_distribution(p)(engine_);
+  // bernoulli_distribution's test: a canonical double below p.
+  return Uniform01() < p;
 }
 
 double Rng::Gamma(double shape) {

@@ -1,6 +1,7 @@
 #ifndef TMERGE_CORE_RNG_H_
 #define TMERGE_CORE_RNG_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -94,16 +95,30 @@ class KeyedStream {
   std::uint64_t state_;
 };
 
+/// The double in [0, 1) that libstdc++'s generate_canonical<double, 53>
+/// makes of one 64-bit word: double(word) * 2^-64, rounded once, and
+/// clamped to the largest double below 1 when it rounds up to 1. The two
+/// halves convert exactly and their sum rounds once, so the result equals
+/// the unsigned conversion, without the sign-bit branch GCC emits for it.
+inline double CanonicalDouble(std::uint64_t word) {
+  const double x =
+      static_cast<double>(static_cast<std::int64_t>(word >> 32)) * 0x1.0p32 +
+      static_cast<double>(static_cast<std::int64_t>(word & 0xFFFFFFFFULL));
+  return std::min(x * 0x1.0p-64, 0x1.fffffffffffffp-1);
+}
+
 /// Deterministic pseudo-random number generator used by every randomized
 /// component in the library. All components take an explicit seed (directly
 /// or via an Rng), which makes tests and benches reproducible bit-for-bit.
 ///
 /// The engine is the in-repo Mt19937Engine, whose output the standard
 /// fixes. Gamma, and so Beta, draws its standard normals from an in-repo
-/// ziggurat. Uniform01, Uniform, UniformInt, Index, Normal, Bernoulli and
-/// Poisson still use the standard library's <random> distributions, whose
-/// algorithms are implementation-defined: their outputs are reproducible
-/// on one standard library only. Not thread-safe; use one Rng per thread.
+/// ziggurat. Uniform01, Uniform and Bernoulli are computed here, with the
+/// bits libstdc++'s uniform_real_distribution and bernoulli_distribution
+/// give (CanonicalDouble). UniformInt, Index, Normal and Poisson still use
+/// the standard library's <random> distributions, whose algorithms are
+/// implementation-defined: their outputs are reproducible on one standard
+/// library only. Not thread-safe; use one Rng per thread.
 class Rng {
  public:
   /// Constructs a generator seeded with `seed`.

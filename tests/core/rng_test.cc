@@ -169,6 +169,74 @@ TEST(Mt19937EngineTest, MatchesStdMt19937_64) {
   }
 }
 
+#ifdef __GLIBCXX__
+/// Replays fixed words as a UniformRandomBitGenerator, so the standard
+/// library's generate_canonical can be fed chosen edge words.
+class WordReplay {
+ public:
+  using result_type = std::uint64_t;
+  explicit WordReplay(std::uint64_t word) : word_(word) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return word_; }
+
+ private:
+  std::uint64_t word_;
+};
+#endif
+
+TEST(CanonicalDoubleTest, EdgeWordsMatchGenerateCanonical) {
+#ifdef __GLIBCXX__
+  // Zero, the rounding boundaries of the top halves and the words that
+  // round up to 1 and take the clamp.
+  for (std::uint64_t word :
+       {0ULL, 1ULL, 0xFFFFFFFFULL, 0x100000000ULL, 0x7FFFFFFFFFFFFC00ULL,
+        0x7FFFFFFFFFFFFFFFULL, 0x8000000000000000ULL, 0x8000000000000401ULL,
+        0xFFFFFFFFFFFFF800ULL, 0xFFFFFFFFFFFFFBFFULL, 0xFFFFFFFFFFFFFC00ULL,
+        0xFFFFFFFFFFFFFFFFULL}) {
+    WordReplay replay(word);
+    EXPECT_EQ(CanonicalDouble(word),
+              (std::generate_canonical<double, 53>(replay)))
+        << std::hex << word;
+  }
+#else
+  GTEST_SKIP() << "CanonicalDouble reproduces libstdc++'s bits only";
+#endif
+}
+
+TEST(CanonicalDoubleTest, UniformAndBernoulliMatchStdOnMt19937_64) {
+#ifdef __GLIBCXX__
+  // Rng's Uniform01, Uniform and Bernoulli against the standard library's
+  // distributions over the same engine output, interleaved so every call
+  // consumes the same words.
+  constexpr std::array<std::array<double, 2>, 7> kRanges = {
+      {{0.0, 1.0}, {-3.0, 5.0}, {0.0, 1e-300}, {-1e6, 1e6}, {2.5, 2.75},
+       {-0.5, 0.0}, {0.0, 1920.0}}};
+  constexpr std::array<double, 5> kRates = {0.3, 1e-9, 0.5, 0.999999, 0.07};
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::uint64_t seed = i * 0x9E3779B97F4A7C15ULL + 17;
+    Rng ours(seed);
+    std::mt19937_64 reference(seed);
+    for (int draw = 0; draw < 2000; ++draw) {
+      ASSERT_EQ(ours.Uniform01(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(reference))
+          << "seed " << seed << " draw " << draw;
+      const auto& range = kRanges[draw % kRanges.size()];
+      ASSERT_EQ(ours.Uniform(range[0], range[1]),
+                std::uniform_real_distribution<double>(range[0],
+                                                       range[1])(reference))
+          << "seed " << seed << " draw " << draw;
+      const double rate = kRates[draw % kRates.size()];
+      ASSERT_EQ(ours.Bernoulli(rate),
+                std::bernoulli_distribution(rate)(reference))
+          << "seed " << seed << " draw " << draw;
+    }
+  }
+#else
+  GTEST_SKIP() << "Rng reproduces libstdc++'s distributions only";
+#endif
+}
+
 // First outputs of every Rng helper for one seed. The simulated scenes,
 // detections and ReID features are built from these streams, so a change
 // here regenerates every dataset and pinned benchmark number; these
