@@ -15,6 +15,7 @@ namespace tmerge::bench {
 namespace {
 
 void Run() {
+  const int threads = BenchNumThreads();
   BenchEnv env = PrepareEnv(sim::DatasetProfile::kMot17Like, 5);
   merge::SelectorOptions options;
   options.k_fraction = 0.05;
@@ -28,7 +29,8 @@ void Run() {
     tmerge_options.tau_max = tau;
     merge::TMergeSelector selector(tmerge_options);
     merge::EvalResult eval =
-        merge::EvaluateSelectorAveraged(env.prepared, selector, options, 3);
+        merge::EvaluateSelectorAveraged(env.prepared, selector, options, 3,
+                                        threads);
     table.AddRow()
         .AddInt(tau)
         .AddNumber(eval.rec, 3)
@@ -40,8 +42,8 @@ void Run() {
 
   merge::BaselineSelector baseline;
   merge::SelectorOptions bl_options = options;
-  merge::EvalResult bl =
-      merge::EvaluateSelectorAveraged(env.prepared, baseline, bl_options, 1);
+  merge::EvalResult bl = merge::EvaluateSelectorAveraged(
+      env.prepared, baseline, bl_options, 1, threads);
 
   std::cout << "=== Figure 7: TMerge-B (B=10) REC & runtime vs tau_max "
                "(MOT-17-like) ===\n";

@@ -12,6 +12,7 @@ namespace tmerge::bench {
 namespace {
 
 void Run() {
+  const int threads = BenchNumThreads();
   BenchEnv env = PrepareEnv(sim::DatasetProfile::kMot17Like, 5);
   merge::SelectorOptions options;
   options.k_fraction = 0.05;
@@ -38,8 +39,8 @@ void Run() {
       tmerge_options.use_beta_init = variant.beta_init;
       tmerge_options.use_ulb = variant.ulb;
       merge::TMergeSelector selector(tmerge_options);
-      merge::EvalResult eval =
-          merge::EvaluateSelectorAveraged(env.prepared, selector, options, 3);
+      merge::EvalResult eval = merge::EvaluateSelectorAveraged(
+          env.prepared, selector, options, 3, threads);
       table.AddRow()
           .AddCell(variant.name)
           .AddInt(tau)
