@@ -19,7 +19,7 @@ TEST(BanditBitsTest, CleanRunsMatchReference) {
   });
   EXPECT_EQ(tally.windows, 168);
   EXPECT_EQ(tally.failed_pulls, 0);
-  EXPECT_EQ(hash.value(), 0xA707AD6A685A6C2FULL);
+  EXPECT_EQ(hash.value(), 0xDA972D139B54B94FULL);
 }
 
 }  // namespace
