@@ -1,6 +1,7 @@
 #include "tmerge/merge/pair_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "tmerge/core/status.h"
@@ -115,11 +116,38 @@ std::size_t FindSlot(const std::vector<std::int64_t>& table,
 
 }  // namespace
 
+BoxPairSampler::BoxPairSampler(std::int64_t rows, std::int64_t cols,
+                               std::int64_t draws)
+    : BoxPairSampler(rows, cols) {
+  // Rejection sampling records at most half the grid before the dense
+  // switch, and the set grows by doubling from 16 slots while at most half
+  // full.
+  const std::int64_t total = rows * cols;
+  const std::int64_t recorded = std::min(draws, (total + 1) / 2);
+  if (recorded <= 0) return;
+  const std::size_t slots = std::bit_ceil(
+      std::max<std::size_t>(16, 2 * static_cast<std::size_t>(recorded)));
+  if (static_cast<std::size_t>((total + 7) / 8) <=
+      slots * sizeof(std::int64_t)) {
+    bitmap_.assign(static_cast<std::size_t>((total + 63) / 64), 0);
+  } else {
+    sampled_.assign(slots, kEmptyCell);
+  }
+}
+
 bool BoxPairSampler::ContainsSampled(std::int64_t cell) const {
+  if (!bitmap_.empty()) return (bitmap_[cell >> 6] >> (cell & 63)) & 1;
   return !sampled_.empty() && sampled_[FindSlot(sampled_, cell)] == cell;
 }
 
 bool BoxPairSampler::InsertSampled(std::int64_t cell) {
+  if (!bitmap_.empty()) {
+    std::uint64_t& word = bitmap_[cell >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (cell & 63);
+    if (word & bit) return false;
+    word |= bit;
+    return true;
+  }
   if (static_cast<std::size_t>(sampled_count_ + 1) * 2 > sampled_.size()) {
     std::vector<std::int64_t> old(
         std::max<std::size_t>(16, sampled_.size() * 2), kEmptyCell);
@@ -155,7 +183,8 @@ std::pair<std::int32_t, std::int32_t> BoxPairSampler::Sample(core::Rng& rng) {
     for (std::int64_t cell = 0; cell < total; ++cell) {
       if (!ContainsSampled(cell)) remaining_.push_back(cell);
     }
-    sampled_ = {};  // No longer needed; release the table.
+    sampled_ = {};  // No longer needed; release the record.
+    bitmap_ = {};
   }
   TMERGE_CHECK(!remaining_.empty());
   std::size_t pick = rng.Index(remaining_.size());

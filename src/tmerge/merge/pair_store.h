@@ -87,6 +87,12 @@ class BoxPairSampler {
  public:
   BoxPairSampler(std::int64_t rows, std::int64_t cols)
       : rows_(rows), cols_(cols) {}
+  /// A sampler whose caller will draw `draws` cells, as PS does: it records
+  /// them in a grid bitmap when that takes no more bytes than the set would
+  /// grow to for those draws, and otherwise sizes the set for them once.
+  /// Either way the draws are those of the sampler above; drawing more than
+  /// `draws` cells still works.
+  BoxPairSampler(std::int64_t rows, std::int64_t cols, std::int64_t draws);
 
   /// Draws an unsampled (row, col) uniformly, marking it sampled. Must not
   /// be called when Exhausted().
@@ -112,6 +118,9 @@ class BoxPairSampler {
   /// marking empty slots. Its size follows the sampled count, not the grid,
   /// and an insert allocates only when the table doubles.
   std::vector<std::int64_t> sampled_;
+  /// The sampled cells as one bit per grid cell, used instead of sampled_
+  /// when it is not empty.
+  std::vector<std::uint64_t> bitmap_;
   /// Once more than half the grid is sampled, the unsampled cells are
   /// materialized here and drawn by swap-remove (O(1) per draw), keeping
   /// full-grid consumers like PS at eta = 1 linear.

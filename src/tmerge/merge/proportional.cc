@@ -36,7 +36,8 @@ SelectionResult ProportionalSelector::Select(
     auto want = static_cast<std::int64_t>(
         std::ceil(eta_ * static_cast<double>(total)));
     want = std::clamp<std::int64_t>(want, 1, total);
-    BoxPairSampler sampler(context.TrackA(p).size(), context.TrackB(p).size());
+    BoxPairSampler sampler(context.TrackA(p).size(), context.TrackB(p).size(),
+                           want);
     samples[p].cells.reserve(want);
     for (std::int64_t i = 0; i < want; ++i) {
       samples[p].cells.push_back(sampler.Sample(rng));

@@ -133,13 +133,50 @@ TEST(BoxPairSamplerTest, PinnedSequenceAcrossDenseSwitch) {
               37, 13, 22, 17, 29, 33, 25, 35, 34, 39, 14, 32, 27, 18, 42, 19,
               1, 45, 15, 10, 43, 38, 16, 0, 8, 20, 21, 4, 28, 5, 2, 46}},
   };
+  // A sampler told its draw count keeps the sequence; -1 stands for the
+  // sampler without one. On these grids (at most 7 bytes of bitmap, against
+  // 128 bytes for the smallest set) every positive count takes the bitmap,
+  // and a count of 0 the set, which then grows as without a count; 0 and 1
+  // are counts below the draws made.
   for (const Grid& grid : grids) {
-    core::Rng rng(grid.rows * 100 + grid.cols);
-    BoxPairSampler sampler(grid.rows, grid.cols);
-    for (std::int32_t cell : grid.cells) {
-      EXPECT_EQ(sampler.Sample(rng),
-                std::make_pair(cell / grid.cols, cell % grid.cols))
-          << grid.rows << "x" << grid.cols;
+    const auto total = static_cast<std::int64_t>(grid.cells.size());
+    for (std::int64_t draws : {std::int64_t{-1}, std::int64_t{0},
+                               std::int64_t{1}, total / 2, total}) {
+      core::Rng rng(grid.rows * 100 + grid.cols);
+      BoxPairSampler sampler(grid.rows, grid.cols);
+      if (draws >= 0) sampler = BoxPairSampler(grid.rows, grid.cols, draws);
+      for (std::int32_t cell : grid.cells) {
+        EXPECT_EQ(sampler.Sample(rng),
+                  std::make_pair(cell / grid.cols, cell % grid.cols))
+            << grid.rows << "x" << grid.cols << ", draws " << draws;
+      }
+      EXPECT_TRUE(sampler.Exhausted());
+    }
+  }
+}
+
+TEST(BoxPairSamplerTest, DrawCountKeepsTheSequenceInEitherRecord) {
+  // Grids large enough for the draw count to choose either record: the
+  // bitmap of 180 x 180 is 4,050 bytes, and 98 draws grow the set to 256
+  // slots (2,048 bytes) but 324 draws to 1,024 (8,192 bytes); the bitmap
+  // of 40 x 40 is 200 bytes, against 128 for 5 draws and 256 for 13. Each
+  // sampler draws its whole grid, across the dense switch, and must match
+  // the sampler without a count draw for draw.
+  struct Case {
+    std::int64_t rows;
+    std::int64_t cols;
+    std::int64_t draws;
+  };
+  for (const Case& c : {Case{180, 180, 98}, Case{180, 180, 324},
+                        Case{40, 40, 5}, Case{40, 40, 13}}) {
+    core::Rng rng(c.rows + c.draws);
+    core::Rng reference_rng(c.rows + c.draws);
+    BoxPairSampler sampler(c.rows, c.cols, c.draws);
+    BoxPairSampler reference(c.rows, c.cols);
+    for (std::int64_t i = 0; i < c.rows * c.cols; ++i) {
+      ASSERT_EQ(sampler.Sample(rng), reference.Sample(reference_rng))
+          << c.rows << "x" << c.cols << ", draws " << c.draws << ", draw "
+          << i;
     }
     EXPECT_TRUE(sampler.Exhausted());
   }
