@@ -32,6 +32,7 @@
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
 #include "tmerge/merge/pair_store.h"
+#include "tmerge/merge/tmerge.h"
 #include "tmerge/reid/distance_kernels.h"
 #include "tmerge/reid/feature_cache.h"
 #include "tmerge/reid/feature_store.h"
@@ -53,26 +54,41 @@ void BM_BetaSample(benchmark::State& state) {
 BENCHMARK(BM_BetaSample);
 
 void BM_ThompsonRound(benchmark::State& state) {
-  // One TMerge iteration's dominant bookkeeping: drawing a theta per live
-  // pair and taking the arg-min.
-  const std::int64_t pairs = state.range(0);
-  core::Rng rng(2);
-  std::vector<core::BetaPosterior> bandits(pairs);
-  for (auto _ : state) {
-    double best = 2.0;
-    std::size_t arg = 0;
-    for (std::size_t p = 0; p < bandits.size(); ++p) {
-      double theta = bandits[p].Sample(rng);
-      if (theta < best) {
-        best = theta;
-        arg = p;
-      }
+  // One TMerge round as TMergeSelector runs it: PosteriorBuckets::DrawRound
+  // picks the `take` arms with the smallest thetas, one draw per shared
+  // posterior. The arms are the late-window mix of thompson_round_test.cc
+  // (m arms per Beta(S, F)): 273 arms, 12 posteriors.
+  struct Group {
+    double s;
+    double f;
+    int m;
+  };
+  constexpr Group kLateWindow[] = {
+      {1, 2, 150}, {1, 1, 40},  {2, 1, 8},   {2, 60, 20},
+      {3, 200, 6}, {2, 2, 30},  {5, 9, 12},  {1, 400, 1},
+      {2, 500, 1}, {4, 900, 1}, {3, 150, 1}, {8, 4, 3}};
+  std::size_t arms = 0;
+  for (const Group& group : kLateWindow) arms += group.m;
+  merge::internal::PosteriorBuckets buckets(arms);
+  std::size_t arm = 0;
+  for (const Group& group : kLateWindow) {
+    for (int i = 0; i < group.m; ++i) {
+      buckets.Insert(arm++, core::BetaPosterior(group.s, group.f));
     }
-    benchmark::DoNotOptimize(arg);
   }
-  state.SetItemsProcessed(state.iterations() * pairs);
+  const auto take = static_cast<std::size_t>(state.range(0));
+  core::Rng rng(2);
+  std::vector<std::size_t> chosen;
+  for (auto _ : state) {
+    buckets.DrawRound(take, rng, chosen);
+    benchmark::DoNotOptimize(chosen.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(arms));
 }
-BENCHMARK(BM_ThompsonRound)->Arg(100)->Arg(400)->Arg(1600);
+// take = 1 is TMerge's round, 10 a TMerge-B round.
+BENCHMARK(BM_ThompsonRound)->Arg(1)->Arg(10);
 
 void BM_Hungarian(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -126,18 +142,29 @@ void BM_FeatureDistance(benchmark::State& state) {
 BENCHMARK(BM_FeatureDistance);
 
 void BM_BoxPairSampler(benchmark::State& state) {
+  // Args: rows, cols, draws, and whether the sampler is told its draw
+  // count, as PS tells it (ArmTable's arms are not).
+  const std::int64_t rows = state.range(0);
+  const std::int64_t cols = state.range(1);
+  const std::int64_t draws = state.range(2);
+  const bool counted = state.range(3) != 0;
   core::Rng rng(7);
   for (auto _ : state) {
-    state.PauseTiming();
-    merge::BoxPairSampler sampler(100, 100);
-    state.ResumeTiming();
-    for (int i = 0; i < 1000; ++i) {
+    merge::BoxPairSampler sampler =
+        counted ? merge::BoxPairSampler(rows, cols, draws)
+                : merge::BoxPairSampler(rows, cols);
+    for (std::int64_t i = 0; i < draws; ++i) {
       benchmark::DoNotOptimize(sampler.Sample(rng));
     }
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(state.iterations() * draws);
 }
-BENCHMARK(BM_BoxPairSampler);
+// The last two: PS's draw at eta = 0.01 on a 180 x 180 grid, without and
+// with the count (which takes the grid bitmap).
+BENCHMARK(BM_BoxPairSampler)
+    ->Args({100, 100, 1000, 0})
+    ->Args({180, 180, 324, 0})
+    ->Args({180, 180, 324, 1});
 
 // --- Slab/kernel hot path ----------------------------------------------
 
