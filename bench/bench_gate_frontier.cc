@@ -68,7 +68,6 @@ double Percentile(std::vector<double> values, double p) {
 /// Evidence distributions over every window pair, split by ground truth —
 /// the calibration data behind the GateConfig defaults.
 void RunCalibrate(const BenchEnv& env) {
-  gate::GateConfig config;
   struct Split {
     std::vector<double> iou, speed, gap;
   } same, diff;
@@ -78,7 +77,7 @@ void RunCalibrate(const BenchEnv& env) {
     for (const auto& window : prepared.windows) {
       merge::PairContext context(prepared.tracking, window.pairs);
       for (std::size_t p = 0; p < context.num_pairs(); ++p) {
-        gate::GateEvidence e = gate::ComputeEvidence(context, p, config);
+        gate::GateEvidence e = gate::ComputeEvidence(context, p);
         Split& split = truth.contains(context.pair(p)) ? same : diff;
         split.iou.push_back(e.extrapolated_iou);
         split.speed.push_back(e.required_speed);

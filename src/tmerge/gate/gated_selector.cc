@@ -7,6 +7,13 @@
 #include "tmerge/reid/embed_scheduler.h"
 
 namespace tmerge::gate {
+namespace {
+
+/// Floor on the inner bandit's budget scale, so a near-empty ambiguous set
+/// still gets a usable budget.
+constexpr double kMinBudgetScale = 0.05;
+
+}  // namespace
 
 GatedSelector::GatedSelector(merge::CandidateSelector& inner,
                              const GateConfig& config)
@@ -34,7 +41,7 @@ merge::SelectionResult GatedSelector::Select(
   std::vector<GateVerdict> verdicts(num_pairs, GateVerdict::kAmbiguous);
   GateCounts counts;
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    evidence[p] = ComputeEvidence(context, p, config_);
+    evidence[p] = ComputeEvidence(context, p);
     verdicts[p] = Classify(evidence[p], config_);
     switch (verdicts[p]) {
       case GateVerdict::kAccept:
@@ -103,11 +110,11 @@ merge::SelectionResult GatedSelector::Select(
         remaining >= m
             ? 1.0
             : (static_cast<double>(remaining) - 0.5) / static_cast<double>(m);
-    if (config_.scale_bandit_budget) {
-      inner_options.budget_scale =
-          std::max(config_.min_budget_scale,
-                   static_cast<double>(m) / static_cast<double>(num_pairs));
-    }
+    // The bandit budget shrinks to the ambiguous fraction of the window,
+    // so tau_max tracks the work the gate left behind.
+    inner_options.budget_scale =
+        std::max(kMinBudgetScale,
+                 static_cast<double>(m) / static_cast<double>(num_pairs));
     if (config_.prefetch_ambiguous && options.embed_scheduler != nullptr) {
       // Warm the cache through the batched scheduler so the inner
       // selector's misses turn into batch-amortized charges. The

@@ -28,12 +28,11 @@ namespace tmerge::gate {
 ///   4. Ambiguous pairs form a sub-window (a PairContext over the same
 ///      TrackingResult) handed to the inner selector, with k adjusted so
 ///      the inner selector returns exactly the remaining candidate slots,
-///      and — when GateConfig::scale_bandit_budget is set — the bandit
-///      budget scaled to the ambiguous fraction via
-///      SelectorOptions::budget_scale. With prefetch_ambiguous and a
-///      SelectorOptions::embed_scheduler, the ambiguous pairs' crops are
-///      pushed through the EmbedScheduler first, so the inner selector's
-///      misses become CostModel-optimal batches.
+///      and the bandit budget scaled to the ambiguous fraction (floored at
+///      0.05) via SelectorOptions::budget_scale. With prefetch_ambiguous
+///      and a SelectorOptions::embed_scheduler, the ambiguous pairs' crops
+///      are pushed through the EmbedScheduler first, so the inner
+///      selector's misses become CostModel-optimal batches.
 ///
 /// Posterior safety: gate verdicts NEVER become bandit evidence. Accepted
 /// and rejected pairs are excluded from the inner selector's context

@@ -9,21 +9,24 @@
 namespace tmerge::gate {
 namespace {
 
+/// Boxes used to estimate the earlier track's velocity.
+constexpr std::size_t kVelocityWindow = 8;
+
 /// Pixels/frame along each axis.
 struct Velocity {
   double vx = 0.0;
   double vy = 0.0;
 };
 
-/// Endpoint-slope velocity estimate over the last up-to-`window` boxes of
-/// `track`: (last center - first-of-window center) / frames between them.
-/// Single-box tracks report zero velocity (extrapolation degenerates to
-/// "the box stays put", which is the honest prior with one observation).
-Velocity EstimateVelocity(const track::Track& track, std::int32_t window) {
+/// Endpoint-slope velocity estimate over the last up-to-kVelocityWindow
+/// boxes of `track`: (last center - first-of-window center) / frames
+/// between them. Single-box tracks report zero velocity (extrapolation
+/// degenerates to "the box stays put", which is the honest prior with one
+/// observation).
+Velocity EstimateVelocity(const track::Track& track) {
   const std::size_t n = track.boxes.size();
-  if (n < 2 || window < 2) return {0.0, 0.0};
-  const std::size_t span = std::min<std::size_t>(
-      n, static_cast<std::size_t>(window));
+  if (n < 2) return {0.0, 0.0};
+  const std::size_t span = std::min(n, kVelocityWindow);
   const track::TrackedBox& first = track.boxes[n - span];
   const track::TrackedBox& last = track.boxes[n - 1];
   const std::int32_t frames = last.frame - first.frame;
@@ -36,8 +39,7 @@ Velocity EstimateVelocity(const track::Track& track, std::int32_t window) {
 }  // namespace
 
 GateEvidence ComputeEvidence(const merge::PairContext& context,
-                             std::size_t index,
-                             const GateConfig& config) {
+                             std::size_t index) {
   const track::Track& a = context.TrackA(index);
   const track::Track& b = context.TrackB(index);
   // Temporal order, matching PairContext::SpatialDistance's convention.
@@ -51,13 +53,13 @@ GateEvidence ComputeEvidence(const merge::PairContext& context,
   const track::TrackedBox& from = earlier.boxes.back();
   const track::TrackedBox& to = later.boxes.front();
   // Frames to extrapolate across; admissible pairs may overlap by a couple
-  // of frames (window.h overlap tolerance), in which case the boxes are
+  // of frames (merge::PairAdmissible), in which case the boxes are
   // compared where they stand.
   const std::int32_t delta = std::max(to.frame - from.frame, 0);
   evidence.required_speed =
       evidence.spatial_distance / static_cast<double>(std::max(delta, 1));
 
-  const Velocity velocity = EstimateVelocity(earlier, config.velocity_window);
+  const Velocity velocity = EstimateVelocity(earlier);
   core::BoundingBox predicted = from.box;
   predicted.x += velocity.vx * delta;
   predicted.y += velocity.vy * delta;
@@ -85,7 +87,7 @@ GateVerdict Classify(const GateEvidence& evidence, const GateConfig& config) {
 
 GateVerdict ClassifyPair(const merge::PairContext& context, std::size_t index,
                          const GateConfig& config) {
-  return Classify(ComputeEvidence(context, index, config), config);
+  return Classify(ComputeEvidence(context, index), config);
 }
 
 }  // namespace tmerge::gate

@@ -57,18 +57,6 @@ struct GateConfig {
   double max_speed_pixels_per_frame = 12.0;
   double reject_max_iou = 0.05;
 
-  /// Boxes used to estimate the earlier track's velocity (its last up-to-N
-  /// centers, least-squares-free endpoint slope).
-  std::int32_t velocity_window = 8;
-
-  /// When true, the gated selector shrinks the inner bandit budget
-  /// (SelectorOptions::budget_scale) to the ambiguous fraction of the
-  /// window, so tau_max tracks the work the gate left behind.
-  bool scale_bandit_budget = true;
-  /// Floor on that scale so a near-empty ambiguous set still gets a
-  /// usable budget.
-  double min_budget_scale = 0.05;
-
   /// When true and SelectorOptions::embed_scheduler is set, the gated
   /// selector pushes every crop of the ambiguous pairs through the
   /// EmbedScheduler before running the inner selector, converting the
@@ -78,7 +66,7 @@ struct GateConfig {
 };
 
 /// Cheap per-pair evidence the gate decides on. Pure geometry over the
-/// PairContext's tracks; no ReID features are touched.
+/// PairContext's tracks; no ReID features and no thresholds are touched.
 struct GateEvidence {
   /// IoU between the earlier track's last box extrapolated to the later
   /// track's first frame and the later track's first box.
@@ -103,10 +91,10 @@ struct GateCounts {
   std::int64_t total() const { return accepted + rejected + ambiguous; }
 };
 
-/// Computes the gate evidence for pair `index` of `context`.
+/// Computes the gate evidence for pair `index` of `context`. The earlier
+/// track's velocity is the endpoint slope over its last up-to-8 centers.
 GateEvidence ComputeEvidence(const merge::PairContext& context,
-                             std::size_t index,
-                             const GateConfig& config);
+                             std::size_t index);
 
 /// Classifies one evidence record. Accept rules run before reject rules
 /// (see GateConfig).

@@ -75,7 +75,7 @@ TEST(GatePropertyTest, AcceptableEvidenceIsNeverRejected) {
       for (const auto& window : video.windows) {
         merge::PairContext context(video.tracking, window.pairs);
         for (std::size_t p = 0; p < context.num_pairs(); ++p) {
-          GateEvidence evidence = ComputeEvidence(context, p, config);
+          GateEvidence evidence = ComputeEvidence(context, p);
           if (!ClearsAcceptThresholds(evidence, config)) continue;
           // The soundness property: accept-threshold evidence classifies
           // as accept under every config — in particular it can never be

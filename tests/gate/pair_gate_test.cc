@@ -36,8 +36,7 @@ class FragmentPairTest : public ::testing::Test {
 };
 
 TEST_F(FragmentPairTest, EvidenceExtrapolatesLinearMotion) {
-  GateConfig config;
-  GateEvidence evidence = ComputeEvidence(*context_, 0, config);
+  GateEvidence evidence = ComputeEvidence(*context_, 0);
 
   // Track 1 ends at frame 79 (x = 258), track 2 starts at frame 120
   // (x = 340): a 41-frame gap covered at exactly the track's 2 px/frame.
@@ -57,7 +56,7 @@ TEST_F(FragmentPairTest, ClassifyPairMatchesComposition) {
   GateConfig config;
   config.accept_min_iou = 0.9;
   config.accept_max_gap_frames = 30;
-  GateEvidence evidence = ComputeEvidence(*context_, 0, config);
+  GateEvidence evidence = ComputeEvidence(*context_, 0);
   EXPECT_EQ(ClassifyPair(*context_, 0, config), Classify(evidence, config));
 }
 
