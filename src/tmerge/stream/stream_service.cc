@@ -402,25 +402,26 @@ void StreamService::MaybeWriteStallPostMortem() {
   }
 }
 
+bool StreamService::SubmitJob(MergeJob& job) {
+  if (!pool_) return false;
+  // shared_ptr because std::function requires a copyable callable.
+  auto shared = std::make_shared<MergeJob>(std::move(job));
+  core::Status status =
+      pool_->Submit([this, shared] { ExecuteChain(std::move(*shared)); });
+  if (status.ok()) return true;
+  // Saturated executor ("core.pool.submit" failpoint): hand the job back
+  // to run inline instead of dropping it.
+  {
+    core::MutexLock lock(mutex_);
+    ++inline_fallbacks_;
+  }
+  job = std::move(*shared);
+  return false;
+}
+
 void StreamService::Dispatch(std::vector<MergeJob> jobs) {
   for (MergeJob& job : jobs) {
-    if (!pool_) {
-      ExecuteChain(std::move(job));
-      continue;
-    }
-    // shared_ptr because std::function requires a copyable callable.
-    auto shared = std::make_shared<MergeJob>(std::move(job));
-    core::Status status =
-        pool_->Submit([this, shared] { ExecuteChain(std::move(*shared)); });
-    if (!status.ok()) {
-      // Saturated executor ("core.pool.submit" failpoint): degrade to
-      // inline execution instead of dropping the job.
-      {
-        core::MutexLock lock(mutex_);
-        ++inline_fallbacks_;
-      }
-      ExecuteChain(std::move(*shared));
-    }
+    if (!SubmitJob(job)) ExecuteChain(std::move(job));
   }
 }
 
@@ -461,20 +462,7 @@ void StreamService::ExecuteChain(MergeJob job) {
       idle_cv_.NotifyAll();
     }
     for (MergeJob& follow : next) {
-      if (!pool_) {
-        local.push_back(std::move(follow));
-        continue;
-      }
-      auto shared = std::make_shared<MergeJob>(std::move(follow));
-      core::Status status =
-          pool_->Submit([this, shared] { ExecuteChain(std::move(*shared)); });
-      if (!status.ok()) {
-        {
-          core::MutexLock lock(mutex_);
-          ++inline_fallbacks_;
-        }
-        local.push_back(std::move(*shared));
-      }
+      if (!SubmitJob(follow)) local.push_back(std::move(follow));
     }
   }
 }
