@@ -132,13 +132,6 @@ void Mt19937Engine::Twist() {
   index_ = 0;
 }
 
-Rng Rng::Fork() {
-  // Draw a fresh seed; mixing with a large odd constant decorrelates child
-  // streams that are forked in sequence.
-  std::uint64_t seed = engine_() * 0x9E3779B97F4A7C15ULL + 0x3C6EF372FE94F82AULL;
-  return Rng(seed);
-}
-
 double Rng::Uniform01() { return CanonicalDouble(engine_()); }
 
 double Rng::Uniform(double lo, double hi) {

@@ -5,8 +5,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace tmerge::core {
 
@@ -124,11 +122,6 @@ class Rng {
   /// Constructs a generator seeded with `seed`.
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Derives an independent child generator. Useful for giving each
-  /// subcomponent its own stream so adding draws in one place does not
-  /// perturb another.
-  Rng Fork();
-
   /// Uniform double in [0, 1).
   double Uniform01();
 
@@ -161,16 +154,6 @@ class Rng {
 
   /// Poisson sample with the given mean >= 0.
   int Poisson(double mean);
-
-  /// Fisher-Yates shuffle of `values`.
-  template <typename T>
-  void Shuffle(std::vector<T>& values) {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      std::size_t j = Index(i);
-      using std::swap;
-      swap(values[i - 1], values[j]);
-    }
-  }
 
   /// Underlying engine, for interoperating with <random> distributions.
   Mt19937Engine& engine() { return engine_; }

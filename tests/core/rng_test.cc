@@ -129,26 +129,6 @@ TEST(RngTest, PoissonMean) {
   EXPECT_EQ(rng.Poisson(0.0), 0);
 }
 
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(37);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  std::vector<int> original = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, original);
-}
-
-TEST(RngTest, ForkDecorrelates) {
-  Rng parent(41);
-  Rng child1 = parent.Fork();
-  Rng child2 = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (child1.Uniform01() == child2.Uniform01()) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
 TEST(Mt19937EngineTest, StandardTenThousandthOutput) {
   // [rand.predef]: the 10000th consecutive invocation of a
   // default-constructed mt19937_64 (seed 5489) produces this value.
@@ -307,28 +287,6 @@ TEST(RngGoldenTest, Poisson) {
   for (int expected : {53, 46, 45, 50, 48, 55, 42, 35}) {
     EXPECT_EQ(large.Poisson(40.0), expected);
   }
-}
-
-TEST(RngGoldenTest, Shuffle) {
-  Rng rng(kGoldenSeed);
-  std::vector<int> values{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  rng.Shuffle(values);
-  EXPECT_EQ(values, (std::vector<int>{8, 1, 3, 4, 5, 2, 0, 9, 6, 7}));
-}
-
-TEST(RngGoldenTest, Fork) {
-  Rng parent(kGoldenSeed);
-  Rng child1 = parent.Fork();
-  Rng child2 = parent.Fork();
-  for (std::uint64_t expected : {9754566535176659554ULL, 9979358195862724052ULL,
-                                 6175439311513097163ULL}) {
-    EXPECT_EQ(child1.engine()(), expected);
-  }
-  for (std::uint64_t expected : {6528215985566354389ULL, 9243683027211219024ULL,
-                                 1915543844978637576ULL}) {
-    EXPECT_EQ(child2.engine()(), expected);
-  }
-  EXPECT_EQ(parent.engine()(), 16568255686758288963ULL);
 }
 
 // Gamma and Beta carry every TMerge Thompson draw, and their ziggurat is

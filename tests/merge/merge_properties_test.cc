@@ -115,14 +115,14 @@ TEST(MergePropertiesTest, OutcomeInvariantUnderPairInsertionOrder) {
         ApplyMerges(instance.result, instance.pairs);
     for (int shuffle = 0; shuffle < 4; ++shuffle) {
       std::vector<metrics::TrackPairKey> reordered = instance.pairs;
-      rng.Shuffle(reordered);
+      std::shuffle(reordered.begin(), reordered.end(), rng.engine());
       ExpectSameResult(ApplyMerges(instance.result, reordered), reference);
     }
     // Duplicated pairs change nothing either.
     std::vector<metrics::TrackPairKey> doubled = instance.pairs;
     doubled.insert(doubled.end(), instance.pairs.begin(),
                    instance.pairs.end());
-    rng.Shuffle(doubled);
+    std::shuffle(doubled.begin(), doubled.end(), rng.engine());
     ExpectSameResult(ApplyMerges(instance.result, doubled), reference);
   }
 }
@@ -139,7 +139,7 @@ TEST(MergePropertiesTest, PartitionInvariantUnderTrackIdRelabeling) {
     for (int i = 0; i < 10; ++i) {
       image.push_back(static_cast<track::TrackId>(100 + 7 * i));
     }
-    rng.Shuffle(image);
+    std::shuffle(image.begin(), image.end(), rng.engine());
     auto relabel = [&](track::TrackId id) { return image[id - 1]; };
 
     track::TrackingResult relabeled = instance.result;
@@ -209,7 +209,7 @@ TEST(MergePropertiesTest, TransitiveClosureIndependentOfChainOrder) {
       chain.push_back(metrics::MakePairKey(static_cast<track::TrackId>(t),
                                            static_cast<track::TrackId>(t + 1)));
     }
-    rng.Shuffle(chain);
+    std::shuffle(chain.begin(), chain.end(), rng.engine());
     track::TrackingResult merged = ApplyMerges(instance.result, chain);
     ASSERT_EQ(merged.tracks.size(), 1u);
     EXPECT_EQ(merged.tracks[0].id, 1);
