@@ -29,12 +29,17 @@ std::uint64_t NextRecorderId() {
 
 }  // namespace
 
-// One thread's ring. Every slot field is atomic and accessed relaxed, so
-// concurrent snapshot reads are formally race-free; the per-slot `seq`
-// word (a seqlock) is what makes them *consistent*: a reader only accepts
-// a slot whose seq equals 2*(event_index+1) both before and after reading
-// the fields, which rejects slots that are mid-write or were overwritten
-// by a ring wrap between the two checks.
+// One thread's ring. Every slot field is atomic, so concurrent snapshot
+// reads are formally race-free; the per-slot `seq` word (a seqlock) is
+// what makes them *consistent*: a reader only accepts a slot whose seq
+// equals 2*(event_index+1) both before and after reading the fields,
+// which rejects slots that are mid-write or were overwritten by a ring
+// wrap between the two checks. The protocol uses no fences (GCC's TSan
+// build rejects std::atomic_thread_fence under -Werror): the writer
+// stores the odd seq relaxed, then every field with release; the reader
+// loads every field with acquire. A reader that sees any field value of
+// a newer write therefore also sees that write's odd seq on its re-check
+// and discards the slot. On x86 these are all plain moves.
 struct TraceRecorder::ThreadBuffer {
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  ///< 2i+1 writing event i, 2(i+1) done.
@@ -138,20 +143,19 @@ void TraceRecorder::RecordAt(std::int64_t steady_ns, const char* name,
   }
   const std::uint64_t index = buffer->head.load(std::memory_order_relaxed);
   ThreadBuffer::Slot& slot = buffer->slots[index & (capacity_ - 1)];
-  // Seqlock write protocol (Boehm's fence recipe): mark the slot in-flight,
-  // fence so the mark is ordered before the field stores, publish fields
-  // relaxed, then publish the even seq with release.
+  // Seqlock write protocol: mark the slot in-flight, publish each field
+  // with release (so a reader that sees it also sees the mark), then
+  // publish the even seq with release.
   slot.seq.store(2 * index + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.name.store(name, std::memory_order_relaxed);
+  slot.name.store(name, std::memory_order_release);
   slot.phase.store(static_cast<std::uint8_t>(phase),
-                   std::memory_order_relaxed);
-  slot.steady_ns.store(steady_ns, std::memory_order_relaxed);
-  slot.sim_seconds.store(sim_seconds, std::memory_order_relaxed);
-  slot.arg_key0.store(arg0.key, std::memory_order_relaxed);
-  slot.arg_value0.store(arg0.value, std::memory_order_relaxed);
-  slot.arg_key1.store(arg1.key, std::memory_order_relaxed);
-  slot.arg_value1.store(arg1.value, std::memory_order_relaxed);
+                   std::memory_order_release);
+  slot.steady_ns.store(steady_ns, std::memory_order_release);
+  slot.sim_seconds.store(sim_seconds, std::memory_order_release);
+  slot.arg_key0.store(arg0.key, std::memory_order_release);
+  slot.arg_value0.store(arg0.value, std::memory_order_release);
+  slot.arg_key1.store(arg1.key, std::memory_order_release);
+  slot.arg_value1.store(arg1.value, std::memory_order_release);
   slot.seq.store(2 * (index + 1), std::memory_order_release);
   buffer->head.store(index + 1, std::memory_order_release);
 }
@@ -181,21 +185,22 @@ TraceSnapshot TraceRecorder::Snapshot(std::size_t last_n_per_thread) const {
         }
         Ordered entry;
         entry.order = i;
-        entry.event.name = slot.name.load(std::memory_order_relaxed);
+        // Acquire loads: seeing a newer write's field value makes its odd
+        // seq visible to the re-check below.
+        entry.event.name = slot.name.load(std::memory_order_acquire);
         entry.event.phase = static_cast<TracePhase>(
-            slot.phase.load(std::memory_order_relaxed));
+            slot.phase.load(std::memory_order_acquire));
         entry.event.thread_index = buffer->thread_index;
         entry.event.steady_ns =
-            slot.steady_ns.load(std::memory_order_relaxed);
+            slot.steady_ns.load(std::memory_order_acquire);
         entry.event.sim_seconds =
-            slot.sim_seconds.load(std::memory_order_relaxed);
+            slot.sim_seconds.load(std::memory_order_acquire);
         entry.event.args[0] =
-            TraceArg{slot.arg_key0.load(std::memory_order_relaxed),
-                     slot.arg_value0.load(std::memory_order_relaxed)};
+            TraceArg{slot.arg_key0.load(std::memory_order_acquire),
+                     slot.arg_value0.load(std::memory_order_acquire)};
         entry.event.args[1] =
-            TraceArg{slot.arg_key1.load(std::memory_order_relaxed),
-                     slot.arg_value1.load(std::memory_order_relaxed)};
-        std::atomic_thread_fence(std::memory_order_acquire);
+            TraceArg{slot.arg_key1.load(std::memory_order_acquire),
+                     slot.arg_value1.load(std::memory_order_acquire)};
         if (slot.seq.load(std::memory_order_relaxed) != want) {
           continue;  // Overwritten while we were reading: discard.
         }
