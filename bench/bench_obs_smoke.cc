@@ -50,7 +50,6 @@ void Run() {
             << ",\"summed_wall_seconds\":" << eval.summed_wall_seconds
             << ",\"elapsed_seconds\":" << eval.elapsed_seconds << "}\n";
 
-#ifndef TMERGE_OBS_DISABLED
   if (obs::Enabled()) {
     // The registry was touched only by this run, so the exported counters
     // must agree exactly with the EvalResult's UsageStats aggregation.
@@ -65,7 +64,6 @@ void Run() {
                  eval.windows);
     std::cout << "obs counters consistent with UsageStats\n";
   }
-#endif
 
   EmitObsSnapshot("obs_smoke");
 }

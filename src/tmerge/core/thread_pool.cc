@@ -19,7 +19,6 @@ int ResolveNumThreads(int num_threads) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-#ifndef TMERGE_OBS_DISABLED
 namespace {
 
 /// Wraps a submitted task so its queue wait (enqueue -> dequeue) and busy
@@ -45,7 +44,6 @@ std::function<void()> InstrumentTask(std::function<void()> task) {
 }
 
 }  // namespace
-#endif  // TMERGE_OBS_DISABLED
 
 /// Shared state of one ParallelFor call. Lives on the calling thread's
 /// stack; workers only touch it through the tasks submitted for this call,
@@ -83,9 +81,9 @@ struct ThreadPool::ForLoopState {
 
 ThreadPool::ThreadPool(int num_threads) {
   int workers = ResolveNumThreads(num_threads);
-  TMERGE_OBS(obs::DefaultRegistry()
-                 .GetGauge("core.pool.workers")
-                 .Set(static_cast<double>(workers)));
+  obs::DefaultRegistry()
+      .GetGauge("core.pool.workers")
+      .Set(static_cast<double>(workers));
   workers_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });
@@ -109,7 +107,7 @@ Status ThreadPool::Submit(std::function<void()> task) {
     return Status::Unavailable("injected task rejection (submit ticket " +
                                std::to_string(ticket) + ")");
   }
-  TMERGE_OBS(if (obs::Enabled()) task = InstrumentTask(std::move(task)));
+  if (obs::Enabled()) task = InstrumentTask(std::move(task));
   {
     MutexLock lock(mutex_);
     queue_.push_back(std::move(task));

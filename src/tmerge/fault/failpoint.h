@@ -38,20 +38,6 @@
 //                       the MergeDirector defers an otherwise-admissible
 //                       merge job (scheduler hiccup; never consulted in
 //                       force-flush mode, so Finish cannot wedge)
-//
-// Compile-out: -DTMERGE_FAULT_DISABLED erases every site to a constant, so
-// production builds carry no registry lookups at all (the registry class
-// itself stays linkable, mirroring TMERGE_OBS_DISABLED).
-
-#if defined(TMERGE_FAULT_DISABLED)
-
-// The operands are void-evaluated (all sites pass pure expressions) so the
-// disabled build neither warns about unused values nor changes behavior;
-// the optimizer deletes them and the site folds to a constant.
-#define TMERGE_FAILPOINT(name, key) ((void)(name), (void)(key), false)
-#define TMERGE_FAILPOINT_LATENCY(name, key) ((void)(name), (void)(key), 0.0)
-
-#else
 
 /// True when the armed failpoint `name` fires for operation `key`.
 /// Evaluates to false (one relaxed load) when nothing is armed.
@@ -65,7 +51,5 @@
   (::tmerge::fault::GlobalRegistry().AnyArmed()            \
        ? ::tmerge::fault::GlobalRegistry().LatencySpike((name), (key)) \
        : 0.0)
-
-#endif  // TMERGE_FAULT_DISABLED
 
 #endif  // TMERGE_FAULT_FAILPOINT_H_

@@ -112,7 +112,7 @@ EvalResult EvaluateSelector(const PreparedVideo& prepared,
     }
     eval.summed_wall_seconds += select_timer.Seconds();
     const auto window_pairs = static_cast<std::int64_t>(window.pairs.size());
-    TMERGE_OBS(PublishWindowObs(result, window_pairs));
+    PublishWindowObs(result, window_pairs);
     eval.AddWindow(result, window_pairs);
     for (const auto& pair : result.candidates) selected.insert(pair);
   }

@@ -128,9 +128,9 @@ struct WorkTally {
 std::uint64_t WindowSeed(std::uint64_t seed, std::int32_t window_index);
 
 /// Folds one window's selection into the default obs registry
-/// (evaluate.*, reid.*, gate.* and pipeline.* counters). Call it inside
-/// TMERGE_OBS, once per window that AddWindow folds, so the exported
-/// counters agree with the result tally on the batch and stream paths.
+/// (evaluate.*, reid.*, gate.* and pipeline.* counters). Call it once per
+/// window that AddWindow folds, so the exported counters agree with the
+/// result tally on the batch and stream paths.
 void PublishWindowObs(const SelectionResult& result,
                       std::int64_t window_pairs);
 

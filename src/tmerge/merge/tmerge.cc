@@ -109,7 +109,6 @@ double InvertIntegerBeta(double s, double f, double log_choose, double q,
   return x;
 }
 
-#ifndef TMERGE_OBS_DISABLED
 /// Publishes one window's bandit internals: total arm pulls (= tau), ULB
 /// pruning outcomes, the tau actually spent, and the window-mean posterior
 /// shape parameters (alpha = S, beta = F) as a cheap summary of how far
@@ -145,7 +144,6 @@ void RecordBanditObs(std::int64_t tau,
     beta_mean.Record(beta_sum / n);
   }
 }
-#endif  // TMERGE_OBS_DISABLED
 
 }  // namespace
 
@@ -425,7 +423,7 @@ SelectionResult TMergeSelector::Select(const PairContext& context,
                                                        : posteriors[p].Mean();
   }
   SelectionResult result = arms.Finish(scores, k_count);
-  TMERGE_OBS(RecordBanditObs(tau, posteriors, result));
+  RecordBanditObs(tau, posteriors, result);
   return result;
 }
 

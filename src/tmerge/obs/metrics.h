@@ -57,8 +57,8 @@ inline void AtomicAddDouble(std::atomic<double>& target, double delta) {
 /// True when instrumentation is runtime-enabled. Every metric write checks
 /// this first, so a disabled process does no atomic RMW work and no clock
 /// reads — the near-zero-overhead off state the benches' overhead guard
-/// relies on. (Compile-time removal is separate: see TMERGE_OBS_DISABLED
-/// in span.h, which erases the instrumentation sites themselves.)
+/// relies on. It is the only off switch: every instrumentation site is
+/// always compiled in.
 inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }

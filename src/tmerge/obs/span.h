@@ -64,23 +64,8 @@ class ScopedSpan {
 
 }  // namespace tmerge::obs
 
-// Instrumentation macros. These are the only pieces of the obs API affected
-// by TMERGE_OBS_DISABLED: defining it (the TMERGE_OBS_DISABLED CMake
-// option applies it globally) compiles every TMERGE_SPAN / TMERGE_OBS site
-// out of the binary entirely. The registry classes above stay available
-// either way, so exporters, tests and explicit callers keep compiling.
-//
-//   TMERGE_SPAN("prepare.detect.seconds");   // times the enclosing scope
-//   TMERGE_OBS(counter.Add(n));              // arbitrary instrumentation
 #define TMERGE_OBS_CONCAT_INNER(a, b) a##b
 #define TMERGE_OBS_CONCAT(a, b) TMERGE_OBS_CONCAT_INNER(a, b)
-
-#if defined(TMERGE_OBS_DISABLED)
-
-#define TMERGE_SPAN(name)
-#define TMERGE_OBS(...)
-
-#else
 
 /// Times the enclosing scope into the default registry's duration
 /// histogram named `name` (a string literal; the metric is looked up once
@@ -93,11 +78,5 @@ class ScopedSpan {
           (name), ::tmerge::obs::DurationBounds());                        \
   ::tmerge::obs::ScopedSpan TMERGE_OBS_CONCAT(tmerge_span_, __LINE__)(     \
       TMERGE_OBS_CONCAT(tmerge_span_metric_, __LINE__), (name))
-
-/// Wraps instrumentation-only statements so they vanish under
-/// TMERGE_OBS_DISABLED.
-#define TMERGE_OBS(...) __VA_ARGS__
-
-#endif  // TMERGE_OBS_DISABLED
 
 #endif  // TMERGE_OBS_SPAN_H_

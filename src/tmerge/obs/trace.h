@@ -86,9 +86,8 @@ struct TraceSnapshot {
 ///
 /// Recording is default-off behind the same style of gate as
 /// obs::SetEnabled: one relaxed load per instrumentation site while
-/// stopped, and the TMERGE_TRACE_* macros below compile out entirely
-/// under TMERGE_OBS_DISABLED. Event names and arg keys must be string
-/// literals — slots store pointers, never copies.
+/// stopped. Event names and arg keys must be string literals — slots
+/// store pointers, never copies.
 class TraceRecorder {
  public:
   explicit TraceRecorder(const TraceRecorderOptions& options = {});
@@ -232,8 +231,7 @@ class TraceScope {
 
 }  // namespace tmerge::obs
 
-// Trace instrumentation macros, compiled out together with the metric
-// macros under TMERGE_OBS_DISABLED (span.h documents the option). Usage:
+// Trace instrumentation macros. Usage:
 //
 //   TMERGE_TRACE_SCOPE("stream.merge_job.run");                // B/E pair
 //   TMERGE_TRACE_SCOPE("stream.frame.ingest", now_seconds,
@@ -244,14 +242,6 @@ class TraceScope {
 #define TMERGE_TRACE_CONCAT_INNER(a, b) a##b
 #define TMERGE_TRACE_CONCAT(a, b) TMERGE_TRACE_CONCAT_INNER(a, b)
 
-#if defined(TMERGE_OBS_DISABLED)
-
-#define TMERGE_TRACE_SCOPE(...)
-#define TMERGE_TRACE_INSTANT(...)
-#define TMERGE_TRACE_COUNTER(...)
-
-#else
-
 #define TMERGE_TRACE_SCOPE(...)                         \
   ::tmerge::obs::TraceScope TMERGE_TRACE_CONCAT(        \
       tmerge_trace_scope_, __LINE__)(__VA_ARGS__)
@@ -259,7 +249,5 @@ class TraceScope {
 #define TMERGE_TRACE_INSTANT(...) ::tmerge::obs::TraceInstant(__VA_ARGS__)
 
 #define TMERGE_TRACE_COUNTER(...) ::tmerge::obs::TraceCounter(__VA_ARGS__)
-
-#endif  // TMERGE_OBS_DISABLED
 
 #endif  // TMERGE_OBS_TRACE_H_

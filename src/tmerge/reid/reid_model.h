@@ -42,8 +42,8 @@ class ReidModel {
   /// Embed except that the "reid.embed" failpoint (fault/failpoint.h) may
   /// inject a transient Unavailable error, keyed by the crop's detection
   /// id mixed with `salt` (retry attempts pass distinct salts so each
-  /// attempt draws an independent verdict). With no failpoint armed — or
-  /// under -DTMERGE_FAULT_DISABLED — this is exactly Embed, bit for bit.
+  /// attempt draws an independent verdict). With no failpoint armed this
+  /// is exactly Embed, bit for bit.
   /// Applies to every implementation; thread-safe like Embed.
   core::Result<FeatureVector> TryEmbed(const CropRef& crop,
                                        std::uint64_t salt = 0) const;

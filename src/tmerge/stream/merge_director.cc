@@ -8,7 +8,6 @@
 
 namespace tmerge::stream {
 
-#ifndef TMERGE_OBS_DISABLED
 namespace {
 
 obs::Counter& DirectorCounter(const char* name) {
@@ -16,7 +15,6 @@ obs::Counter& DirectorCounter(const char* name) {
 }
 
 }  // namespace
-#endif  // TMERGE_OBS_DISABLED
 
 MergeDirector::MergeDirector(const MergeDirectorConfig& config)
     : config_(config) {
@@ -27,11 +25,9 @@ MergeDirector::MergeDirector(const MergeDirectorConfig& config)
 
 void MergeDirector::NoteIngestDeferred(double now_seconds) {
   ++ingest_deferred_;
-  TMERGE_OBS({
-    static obs::Counter& deferred =
-        DirectorCounter("stream.director.ingest_deferred");
-    deferred.Add();
-  });
+  static obs::Counter& deferred =
+      DirectorCounter("stream.director.ingest_deferred");
+  deferred.Add();
   TMERGE_TRACE_INSTANT("stream.director.ingest_defer", now_seconds);
   if (blocked_since_seconds_ < 0.0) {
     blocked_since_seconds_ = now_seconds;
@@ -42,11 +38,9 @@ void MergeDirector::NoteIngestDeferred(double now_seconds) {
     stall_flush_ = true;
     ++force_flushes_;
     ++stall_flushes_;
-    TMERGE_OBS({
-      static obs::Counter& flushes =
-          DirectorCounter("stream.director.force_flushes");
-      flushes.Add();
-    });
+    static obs::Counter& flushes =
+        DirectorCounter("stream.director.force_flushes");
+    flushes.Add();
     TMERGE_TRACE_INSTANT("stream.director.force_flush", now_seconds,
                          {"stall", 1});
   }
@@ -92,21 +86,17 @@ bool MergeDirector::CanScheduleMergeJob(std::int64_t pending_pairs) {
   }
   if (deferred) {
     ++merge_deferred_;
-    TMERGE_OBS({
-      static obs::Counter& counter =
-          DirectorCounter("stream.director.merge_deferred");
-      counter.Add();
-    });
+    static obs::Counter& deferred_counter =
+        DirectorCounter("stream.director.merge_deferred");
+    deferred_counter.Add();
     TMERGE_TRACE_INSTANT("stream.director.merge_defer",
                          obs::kTraceNoSimTime, {"pairs", pending_pairs});
     return false;
   }
   ++merge_admitted_;
-  TMERGE_OBS({
-    static obs::Counter& counter =
-        DirectorCounter("stream.director.merge_admitted");
-    counter.Add();
-  });
+  static obs::Counter& admitted_counter =
+      DirectorCounter("stream.director.merge_admitted");
+  admitted_counter.Add();
   return true;
 }
 
@@ -129,11 +119,9 @@ void MergeDirector::OnStreamCompleted() {
   if (!stream_completed_) {
     stream_completed_ = true;
     ++force_flushes_;
-    TMERGE_OBS({
-      static obs::Counter& flushes =
-          DirectorCounter("stream.director.force_flushes");
-      flushes.Add();
-    });
+    static obs::Counter& flushes =
+        DirectorCounter("stream.director.force_flushes");
+    flushes.Add();
     TMERGE_TRACE_INSTANT("stream.director.force_flush",
                          obs::kTraceNoSimTime, {"stall", 0});
   }

@@ -25,17 +25,11 @@ constexpr std::size_t kPostMortemEventsPerThread = 2048;
 /// Cap on closed windows of one camera batched into one merge job.
 constexpr std::int32_t kMaxWindowsPerMergeJob = 4;
 
-}  // namespace
-
-#ifndef TMERGE_OBS_DISABLED
-namespace {
-
 obs::Counter& StreamCounter(const char* name) {
   return obs::DefaultRegistry().GetCounter(name);
 }
 
 }  // namespace
-#endif  // TMERGE_OBS_DISABLED
 
 StreamService::CameraState::CameraState(std::int32_t id,
                                         const CameraConfig& camera,
@@ -82,7 +76,6 @@ std::int32_t StreamService::AddCamera(const CameraConfig& camera) {
   std::int32_t id = static_cast<std::int32_t>(cameras_.size());
   cameras_.push_back(
       std::make_unique<CameraState>(id, camera, config_.window));
-#ifndef TMERGE_OBS_DISABLED
   // Per-camera series share one family name and differ only in the
   // `camera` label: stream.camera.queued_frames{camera="3"}.
   CameraState& state = *cameras_.back();
@@ -93,7 +86,6 @@ std::int32_t StreamService::AddCamera(const CameraConfig& camera) {
       obs::DurationBounds());
   state.queue_gauge = &registry.GetGauge(
       obs::LabeledName("stream.camera.queued_frames", labels));
-#endif  // TMERGE_OBS_DISABLED
   ++open_cameras_;
   return id;
 }
@@ -118,11 +110,9 @@ IngestOutcome StreamService::IngestFrame(std::int32_t camera_id,
     if (static_cast<std::int32_t>(camera.frame_queue.size()) >=
         config_.max_queued_frames_per_camera) {
       ++backpressure_events_;
-      TMERGE_OBS({
-        static obs::Counter& counter =
-            StreamCounter("stream.backpressure_events");
-        counter.Add();
-      });
+      static obs::Counter& backpressure_counter =
+          StreamCounter("stream.backpressure_events");
+      backpressure_counter.Add();
     }
     // Full queue with jobs in flight: wait for a completion instead of
     // bouncing. The Wait releases the mutex, which is what lets the worker
@@ -157,11 +147,9 @@ IngestOutcome StreamService::IngestFrame(std::int32_t camera_id,
         lost.frame = frame.frame;
         camera.frame_queue.push_back(std::move(lost));
         ++camera.frames_dropped;
-        TMERGE_OBS({
-          static obs::Counter& counter =
-              StreamCounter("stream.frames_dropped");
-          counter.Add();
-        });
+        static obs::Counter& dropped_counter =
+            StreamCounter("stream.frames_dropped");
+        dropped_counter.Add();
         outcome = IngestOutcome::kDropped;
       } else {
         camera.frame_queue.push_back(frame);
@@ -171,11 +159,9 @@ IngestOutcome StreamService::IngestFrame(std::int32_t camera_id,
       ++camera.frames_ingested;
       ++queued_frames_;
       peak_queued_frames_ = std::max(peak_queued_frames_, queued_frames_);
-      TMERGE_OBS({
-        static obs::Counter& counter =
-            StreamCounter("stream.frames_ingested");
-        counter.Add();
-      });
+      static obs::Counter& ingested_counter =
+          StreamCounter("stream.frames_ingested");
+      ingested_counter.Add();
     }
     jobs = PumpLocked(now_seconds);
   }
@@ -246,10 +232,9 @@ void StreamService::EnqueueClosedLocked(
     TMERGE_TRACE_SCOPE("stream.window.close", now_seconds,
                        {"camera", camera.camera_id},
                        {"window", window.window_index});
-    TMERGE_OBS({
-      static obs::Counter& counter = StreamCounter("stream.windows_closed");
-      counter.Add();
-    });
+    static obs::Counter& closed_counter =
+        StreamCounter("stream.windows_closed");
+    closed_counter.Add();
     // Pairless windows never reach a selector in the batch path either
     // (EvaluateSelector skips them), so they close silently.
     if (window.pairs.empty()) continue;
@@ -314,10 +299,8 @@ bool StreamService::ScheduleCameraJobLocked(CameraState& camera,
 
   ++inflight_jobs_;
   ++merge_jobs_run_;
-  TMERGE_OBS({
-    static obs::Counter& counter = StreamCounter("stream.merge_jobs");
-    counter.Add();
-  });
+  static obs::Counter& jobs_counter = StreamCounter("stream.merge_jobs");
+  jobs_counter.Add();
   TMERGE_TRACE_INSTANT("stream.merge_job.submit", now_seconds,
                        {"camera", camera.camera_id}, {"windows", batch});
   return true;
@@ -333,45 +316,39 @@ std::vector<StreamService::MergeJob> StreamService::PumpLocked(
       jobs.push_back(std::move(job));
     }
   }
-  TMERGE_OBS({
-    if (obs::Enabled()) {
-      obs::MetricsRegistry& registry = obs::DefaultRegistry();
-      static obs::Gauge& queued = registry.GetGauge("stream.queued_frames");
-      static obs::Gauge& open_windows =
-          registry.GetGauge("stream.open_windows");
-      static obs::Gauge& pending = registry.GetGauge("stream.pending_pairs");
-      static obs::Gauge& inflight =
-          registry.GetGauge("stream.inflight_merge_jobs");
-      queued.Set(static_cast<double>(queued_frames_));
-      std::int64_t open = 0;
-      for (const auto& camera : cameras_) {
-        open += camera->windower.open_windows();
-      }
-      open_windows.Set(static_cast<double>(open));
-      pending.Set(static_cast<double>(director_.stats().pending_pairs));
-      inflight.Set(static_cast<double>(inflight_jobs_));
-      for (const auto& camera : cameras_) {
-        if (camera->queue_gauge != nullptr) {
-          camera->queue_gauge->Set(
-              static_cast<double>(camera->frame_queue.size()));
-        }
-      }
+  if (obs::Enabled()) {
+    obs::MetricsRegistry& registry = obs::DefaultRegistry();
+    static obs::Gauge& queued = registry.GetGauge("stream.queued_frames");
+    static obs::Gauge& open_windows = registry.GetGauge("stream.open_windows");
+    static obs::Gauge& pending = registry.GetGauge("stream.pending_pairs");
+    static obs::Gauge& inflight =
+        registry.GetGauge("stream.inflight_merge_jobs");
+    queued.Set(static_cast<double>(queued_frames_));
+    std::int64_t open = 0;
+    for (const auto& camera : cameras_) {
+      open += camera->windower.open_windows();
     }
-    if (obs::TraceRecorder::Default().recording()) {
-      obs::TraceCounter("stream.queued_frames", queued_frames_, now_seconds);
-      obs::TraceCounter("stream.inflight_merge_jobs", inflight_jobs_,
-                        now_seconds);
-      obs::TraceCounter("stream.pending_pairs",
-                        director_.stats().pending_pairs, now_seconds);
-      // First stall flush with a post-mortem path configured: arm the dump
-      // (written by the caller once the mutex is released).
-      if (!stall_dump_written_ && !stall_dump_pending_ &&
-          !config_.stall_post_mortem_path.empty() &&
-          director_.stats().stall_flushes > 0) {
-        stall_dump_pending_ = true;
-      }
+    open_windows.Set(static_cast<double>(open));
+    pending.Set(static_cast<double>(director_.stats().pending_pairs));
+    inflight.Set(static_cast<double>(inflight_jobs_));
+    for (const auto& camera : cameras_) {
+      camera->queue_gauge->Set(static_cast<double>(camera->frame_queue.size()));
     }
-  });
+  }
+  if (obs::TraceRecorder::Default().recording()) {
+    obs::TraceCounter("stream.queued_frames", queued_frames_, now_seconds);
+    obs::TraceCounter("stream.inflight_merge_jobs", inflight_jobs_,
+                      now_seconds);
+    obs::TraceCounter("stream.pending_pairs", director_.stats().pending_pairs,
+                      now_seconds);
+    // First stall flush with a post-mortem path configured: arm the dump
+    // (written by the caller once the mutex is released).
+    if (!stall_dump_written_ && !stall_dump_pending_ &&
+        !config_.stall_post_mortem_path.empty() &&
+        director_.stats().stall_flushes > 0) {
+      stall_dump_pending_ = true;
+    }
+  }
   return jobs;
 }
 
@@ -442,15 +419,11 @@ void StreamService::ExecuteChain(MergeJob job) {
       CameraState& camera = *current.camera;
       for (WindowOutcome& outcome : outcomes) {
         // Service-side ingest-to-result latency, per camera and fleet-wide.
-        if (camera.latency_hist != nullptr) {
-          camera.latency_hist->Record(outcome.latency_seconds);
-        }
-        TMERGE_OBS({
-          static obs::Histogram& latency = obs::DefaultRegistry().GetHistogram(
-              "stream.ingest_to_result.seconds");
-          latency.Record(outcome.latency_seconds);
-          merge::PublishWindowObs(outcome.selection, outcome.window_pairs);
-        });
+        camera.latency_hist->Record(outcome.latency_seconds);
+        static obs::Histogram& latency = obs::DefaultRegistry().GetHistogram(
+            "stream.ingest_to_result.seconds");
+        latency.Record(outcome.latency_seconds);
+        merge::PublishWindowObs(outcome.selection, outcome.window_pairs);
         camera.outcomes.push_back(std::move(outcome));
       }
       camera.job_inflight = false;

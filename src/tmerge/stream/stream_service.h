@@ -256,8 +256,7 @@ class StreamService {
     std::int64_t frames_dropped = 0;
     /// Per-camera ingest-to-result latency histogram and queue-depth
     /// gauge, registered under obs::LabeledName(..., {{"camera", id}}) at
-    /// AddCamera time. Null when compiled with TMERGE_OBS_DISABLED;
-    /// updates self-gate on obs::Enabled() either way.
+    /// AddCamera time; updates self-gate on obs::Enabled().
     obs::Histogram* latency_hist = nullptr;
     obs::Gauge* queue_gauge = nullptr;
 

@@ -22,16 +22,6 @@
 #include "tmerge/sim/dataset.h"
 #include "tmerge/track/sort_tracker.h"
 
-#ifdef TMERGE_FAULT_DISABLED
-// Every test below arms failpoints; with the sites compiled out there is
-// nothing to observe. The disabled build's contract (bit-identical to a
-// clean run) is covered by the full ctest suite running unchanged.
-#define TMERGE_SKIP_IF_FAULT_DISABLED() \
-  GTEST_SKIP() << "failpoints compiled out (TMERGE_FAULT_DISABLED)"
-#else
-#define TMERGE_SKIP_IF_FAULT_DISABLED() (void)0
-#endif
-
 namespace tmerge {
 namespace {
 
@@ -63,7 +53,6 @@ std::vector<merge::PreparedVideo> PrepareSmallDataset(
 }
 
 TEST_F(FaultE2eTest, EvaluateDatasetBitIdenticalAcrossThreadCountsUnderFaults) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   std::vector<merge::PreparedVideo> prepared =
       PrepareSmallDataset(sim::DatasetProfile::kMot17Like, /*seed=*/23);
 
@@ -97,7 +86,6 @@ TEST_F(FaultE2eTest, EvaluateDatasetBitIdenticalAcrossThreadCountsUnderFaults) {
 }
 
 TEST_F(FaultE2eTest, ArmedButZeroProbabilityIsBitIdenticalToCleanRun) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // Arming a failpoint must not perturb model/selector randomness: the
   // fault registry draws from its own keyed stream, never from core::Rng.
   std::vector<merge::PreparedVideo> prepared =
@@ -126,7 +114,6 @@ TEST_F(FaultE2eTest, ArmedButZeroProbabilityIsBitIdenticalToCleanRun) {
 }
 
 TEST_F(FaultE2eTest, RecallDegradesGracefullyWithFailureRate) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   std::vector<merge::PreparedVideo> prepared =
       PrepareSmallDataset(sim::DatasetProfile::kMot17Like, /*seed=*/7);
   merge::TMergeOptions tmerge_options;
@@ -184,7 +171,6 @@ TEST_F(FaultE2eTest, RecallDegradesGracefullyWithFailureRate) {
 }
 
 TEST_F(FaultE2eTest, FullFailureCompletesEveryProfileAndBeatsIouOnly) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // The acceptance gate: failure rate 1.0 on reid.embed completes on every
   // dataset profile, performs zero posterior updates (no inference ever
   // succeeds, no Bernoulli evidence is consumed), and the spatial-prior
@@ -230,7 +216,6 @@ TEST_F(FaultE2eTest, FullFailureCompletesEveryProfileAndBeatsIouOnly) {
 }
 
 TEST_F(FaultE2eTest, BreakerOpensEveryWindowAtFullFailure) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   std::vector<merge::PreparedVideo> prepared =
       PrepareSmallDataset(sim::DatasetProfile::kMot17Like, /*seed=*/19);
   merge::TMergeOptions tmerge_options;
@@ -251,7 +236,6 @@ TEST_F(FaultE2eTest, BreakerOpensEveryWindowAtFullFailure) {
 }
 
 TEST_F(FaultE2eTest, LcbSurvivesFullFailure) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // LCB shares the guard/degraded-mode plumbing; at failure 1.0 no pair
   // ever gets a pull, so bounds must fall back to "unknown" instead of
   // crashing on pulls == 0.
@@ -271,7 +255,6 @@ TEST_F(FaultE2eTest, LcbSurvivesFullFailure) {
 }
 
 TEST_F(FaultE2eTest, FailedPullsStillSpendTheirCells) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // At failure 1.0 no pull succeeds, so a budget far above the grid ends
   // only once every cell is spent on a failed pull. An arm whose last cell
   // failed must leave the live set like any exhausted arm; otherwise the
@@ -300,7 +283,6 @@ TEST_F(FaultE2eTest, FailedPullsStillSpendTheirCells) {
 }
 
 TEST_F(FaultE2eTest, ArmsExhaustedByFailedPullsKeepTheirPrior) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // At failure 1.0 no Bernoulli trial is ever drawn, so every posterior
   // stays its BetaInit prior. A budget far above the grid exhausts every
   // arm by failed pulls; the ranking must still be the prior's, not the
@@ -328,7 +310,6 @@ TEST_F(FaultE2eTest, ArmsExhaustedByFailedPullsKeepTheirPrior) {
 }
 
 TEST_F(FaultE2eTest, BanditBitsUnderFaultsMatchReference) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // The armed counterpart of BanditBitsTest.CleanRunsMatchReference: one
   // FNV-1a hash over every window's SelectionResult of every bandit
   // configuration, with ReID latency spikes armed and embeds failing at
@@ -364,7 +345,6 @@ TEST_F(FaultE2eTest, BanditBitsUnderFaultsMatchReference) {
 }
 
 TEST_F(FaultE2eTest, EveryFailpointArmedAtFullRateStillCompletes) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // Worst case: every shipped failpoint fires on every evaluation,
   // including thread-pool task rejection (ParallelFor degrades to inline
   // execution on the caller) and cache eviction/forced misses.

@@ -250,8 +250,6 @@ TEST(RegistryTest, ConcurrentShouldFailAgreesAcrossThreads) {
   }
 }
 
-#ifndef TMERGE_FAULT_DISABLED
-
 TEST(FailpointMacroTest, ConsultsTheGlobalRegistry) {
   GlobalRegistry().Reset();
   EXPECT_FALSE(TMERGE_FAILPOINT("reid.embed", 0));
@@ -262,17 +260,6 @@ TEST(FailpointMacroTest, ConsultsTheGlobalRegistry) {
   GlobalRegistry().Reset();
   EXPECT_FALSE(TMERGE_FAILPOINT("reid.embed", 0));
 }
-
-#else
-
-TEST(FailpointMacroTest, CompiledOutMacrosAreInert) {
-  GlobalRegistry().Arm("reid.embed", {1.0, 0.0});
-  EXPECT_FALSE(TMERGE_FAILPOINT("reid.embed", 0));
-  EXPECT_EQ(TMERGE_FAILPOINT_LATENCY("reid.embed", 0), 0.0);
-  GlobalRegistry().Reset();
-}
-
-#endif  // TMERGE_FAULT_DISABLED
 
 }  // namespace
 }  // namespace tmerge::fault

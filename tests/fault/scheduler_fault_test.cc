@@ -20,13 +20,6 @@
 #include "tmerge/reid/embed_scheduler.h"
 #include "tmerge/reid/feature_cache.h"
 
-#ifdef TMERGE_FAULT_DISABLED
-#define TMERGE_SKIP_IF_FAULT_DISABLED() \
-  GTEST_SKIP() << "failpoints compiled out (TMERGE_FAULT_DISABLED)"
-#else
-#define TMERGE_SKIP_IF_FAULT_DISABLED() (void)0
-#endif
-
 namespace tmerge::reid {
 namespace {
 
@@ -78,7 +71,6 @@ void ExpectConservation(const EmbedSchedulerStats& stats) {
 }
 
 TEST_F(SchedulerFaultTest, BatchFailRetriesEveryCropOnSinglePath) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   testing::MergeScenario scenario;
   std::vector<CropRef> crops = ScenarioCrops(scenario);
   const std::int64_t unique = UniqueCount(crops);
@@ -108,7 +100,6 @@ TEST_F(SchedulerFaultTest, BatchFailRetriesEveryCropOnSinglePath) {
 }
 
 TEST_F(SchedulerFaultTest, PartialFaultsLoseNothing) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   testing::MergeScenario scenario;
   std::vector<CropRef> crops = ScenarioCrops(scenario);
   const std::int64_t unique = UniqueCount(crops);
@@ -138,7 +129,6 @@ TEST_F(SchedulerFaultTest, PartialFaultsLoseNothing) {
 }
 
 TEST_F(SchedulerFaultTest, DeferredDispatchCommitsIdentically) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   testing::MergeScenario scenario;
   std::vector<CropRef> crops = ScenarioCrops(scenario);
 
@@ -183,7 +173,6 @@ TEST_F(SchedulerFaultTest, DeferredDispatchCommitsIdentically) {
 }
 
 TEST_F(SchedulerFaultTest, SubmitRejectionDegradesToInlineCompute) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   testing::MergeScenario scenario;
   std::vector<CropRef> crops = ScenarioCrops(scenario);
 
@@ -236,7 +225,6 @@ TEST_F(SchedulerFaultTest, InflightBoundHoldsUnderLoad) {
 }
 
 TEST_F(SchedulerFaultTest, ConcurrentGroupsStressDrainToCleanFlush) {
-  TMERGE_SKIP_IF_FAULT_DISABLED();
   // Four producer threads share one scheduler + pool, each running its own
   // (cache, meter) groups under injected batch failures, deferrals and
   // embed faults — the streaming topology. Conservation must hold on the

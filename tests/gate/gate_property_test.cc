@@ -137,9 +137,6 @@ TEST(GatePropertyTest, VerdictCountsPartitionEveryWindow) {
 }
 
 TEST(GatePropertyTest, ObsCountersAgreeWithUsageStats) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out";
-#else
   sim::Dataset dataset =
       sim::MakeDataset(sim::DatasetProfile::kMot17Like, 2, /*seed=*/77);
   std::vector<merge::PreparedVideo> prepared = PrepareVideos(dataset);
@@ -170,7 +167,6 @@ TEST(GatePropertyTest, ObsCountersAgreeWithUsageStats) {
   // The gate did real work on this profile.
   EXPECT_GT(eval.usage.gate_rejected, 0);
   EXPECT_GT(eval.usage.gate_ambiguous, 0);
-#endif
 }
 
 TEST(GatePropertyTest, UngatedRunsRecordZeroVerdicts) {

@@ -25,9 +25,6 @@ namespace tmerge {
 namespace {
 
 TEST(InstrumentationTest, PipelineRecordsDocumentedMetrics) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out";
-#else
   obs::SetEnabled(true);
   obs::DefaultRegistry().Reset();
 
@@ -102,16 +99,12 @@ TEST(InstrumentationTest, PipelineRecordsDocumentedMetrics) {
   // summed field can only exceed elapsed when videos overlap in real time.
   EXPECT_GT(eval.elapsed_seconds, 0.0);
   EXPECT_GE(eval.summed_wall_seconds, 0.0);
-#endif
 }
 
 // The stream path folds its windows into the same counters as the batch
 // path: a gated multi-camera session exports evaluate.*, reid.*, gate.* and
 // pipeline.* counters equal to its StreamResult tally.
 TEST(InstrumentationTest, StreamRecordsTheSameWindowCounters) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out";
-#else
   sim::Dataset dataset =
       sim::MakeDataset(sim::DatasetProfile::kKittiLike, 2, /*seed=*/7);
   merge::TMergeSelector tmerge;
@@ -182,7 +175,6 @@ TEST(InstrumentationTest, StreamRecordsTheSameWindowCounters) {
             result.failed_pulls);
   EXPECT_EQ(snapshot.counters.at("pipeline.degraded_windows"),
             result.degraded_windows);
-#endif
 }
 
 // Instrumentation must never change results: identical runs with obs on

@@ -297,10 +297,6 @@ TEST(ChromeTraceExportTest, WriteFileFailsOnUnwritablePath) {
 }
 
 TEST(TraceScopeTest, EmitsBeginEndPairWithSharedArgs) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "trace macros compile out under TMERGE_OBS_DISABLED "
-                  "(obs_disabled_test covers that contract)";
-#endif
   TraceRecorder& recorder = TraceRecorder::Default();
   recorder.Start();
   {
@@ -322,9 +318,6 @@ TEST(TraceScopeTest, EmitsBeginEndPairWithSharedArgs) {
 }
 
 TEST(TraceScopeTest, StopMidScopeDropsTheEndEventWithoutCrashing) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "trace macros compile out under TMERGE_OBS_DISABLED";
-#endif
   TraceRecorder& recorder = TraceRecorder::Default();
   recorder.Start();
   {

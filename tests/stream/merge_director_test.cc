@@ -134,7 +134,6 @@ TEST(MergeDirectorTest, ZeroStreamsCompleteImmediately) {
   EXPECT_EQ(stats.merge_jobs_admitted, 0);
 }
 
-#ifndef TMERGE_FAULT_DISABLED
 TEST(MergeDirectorTest, DeferFailpointForcesDeferralButNeverWedgesFlush) {
   fault::GlobalRegistry().Reset();
   fault::GlobalRegistry().SetSeed(11);
@@ -159,7 +158,6 @@ TEST(MergeDirectorTest, DeferFailpointForcesDeferralButNeverWedgesFlush) {
   fault::GlobalRegistry().Reset();
   fault::GlobalRegistry().SetSeed(0);
 }
-#endif  // TMERGE_FAULT_DISABLED
 
 }  // namespace
 }  // namespace tmerge::stream

@@ -242,7 +242,6 @@ TEST_F(StreamServiceTest, IngestAfterCloseIsRejected) {
   service.Finish(1.0);
 }
 
-#ifndef TMERGE_FAULT_DISABLED
 TEST_F(StreamServiceTest, DroppedFramesDegradeGracefully) {
   fault::GlobalRegistry().SetSeed(23);
   ASSERT_TRUE(
@@ -272,7 +271,6 @@ TEST_F(StreamServiceTest, SubmitRejectionFallsBackInlineWithoutDivergence) {
   ExpectMatchesBatch(stream, ref);
   EXPECT_GT(stream.merge_jobs_inline_fallback, 0);
 }
-#endif  // TMERGE_FAULT_DISABLED
 
 }  // namespace
 }  // namespace tmerge::stream

@@ -128,9 +128,6 @@ class StreamTraceTest : public ::testing::Test {
 };
 
 TEST_F(StreamTraceTest, TraceCapturesStreamingPathEndToEnd) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiles out under TMERGE_OBS_DISABLED";
-#endif
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
   recorder.Start();
   merge::TMergeSelector selector;
@@ -241,11 +238,6 @@ StreamServiceConfig StallingConfig() {
 }
 
 TEST_F(StreamTraceTest, StallWatchdogWritesPostMortemWhenTracing) {
-#ifdef TMERGE_OBS_DISABLED
-  // The dump still happens in a disabled build (the recorder class is not
-  // compiled out), but the events this test greps for come from macros.
-  GTEST_SKIP() << "instrumentation compiles out under TMERGE_OBS_DISABLED";
-#endif
   const std::string path =
       testing::TempDir() + "/tmerge_stream_stall_trace.json";
   std::remove(path.c_str());
@@ -288,9 +280,6 @@ TEST_F(StreamTraceTest, StallPostMortemSkippedWhenNotRecording) {
 }
 
 TEST_F(StreamTraceTest, PerCameraMetricsRegisterWithLabels) {
-#ifdef TMERGE_OBS_DISABLED
-  GTEST_SKIP() << "per-camera registration sits behind TMERGE_OBS_DISABLED";
-#endif
   obs::SetEnabled(true);
   merge::TMergeSelector selector;
   StreamInputs in = BuildInputs(/*cameras=*/2, /*frames=*/60);
