@@ -10,6 +10,25 @@
 namespace tmerge::track {
 namespace {
 
+/// Weight of the appearance term in the association cost; the remainder
+/// weights (1 - IoU).
+constexpr double kAppearanceWeight = 0.6;
+/// Matches whose combined cost exceeds this are rejected.
+constexpr double kMaxMatchCost = 0.72;
+/// Spatial gate: a detection farther than this from the track's last
+/// center (scaled up while coasting) cannot match.
+constexpr double kGateDistance = 120.0;
+/// Per-coasted-frame widening of the gate.
+constexpr double kGateGrowth = 0.35;
+/// Exponential moving average factor for the track's appearance.
+constexpr double kAppearanceMomentum = 0.85;
+/// Frames a track coasts without a match before it is finalized.
+constexpr std::int32_t kMaxAge = 18;
+/// Tracks with fewer boxes than this are dropped as blips.
+constexpr std::int32_t kMinHits = 3;
+/// Detections below this confidence are ignored.
+constexpr double kMinConfidence = 0.35;
+
 struct ActiveTrack {
   TrackId id;
   KalmanBoxFilter filter;
@@ -32,9 +51,8 @@ void BlendAppearance(reid::FeatureVector& mean,
 
 }  // namespace
 
-AppearanceTracker::AppearanceTracker(const reid::ReidModel* model,
-                                     const AppearanceTrackerConfig& config)
-    : model_(model), config_(config) {
+AppearanceTracker::AppearanceTracker(const reid::ReidModel* model)
+    : model_(model) {
   TMERGE_CHECK(model_ != nullptr);
 }
 
@@ -52,7 +70,7 @@ TrackingResult AppearanceTracker::Run(
   TrackId next_id = 1;
 
   auto finalize = [&](ActiveTrack& track) {
-    if (static_cast<std::int32_t>(track.boxes.size()) >= config_.min_hits) {
+    if (static_cast<std::int32_t>(track.boxes.size()) >= kMinHits) {
       Track out;
       out.id = track.id;
       out.boxes = std::move(track.boxes);
@@ -67,7 +85,7 @@ TrackingResult AppearanceTracker::Run(
 
     std::vector<const detect::Detection*> dets;
     for (const auto& detection : frame.detections) {
-      if (detection.confidence >= config_.min_confidence) {
+      if (detection.confidence >= kMinConfidence) {
         dets.push_back(&detection);
       }
     }
@@ -87,8 +105,8 @@ TrackingResult AppearanceTracker::Run(
           active.size(), std::vector<double>(dets.size(), kInfCost));
       for (std::size_t t = 0; t < active.size(); ++t) {
         const ActiveTrack& track = active[t];
-        double gate = config_.gate_distance *
-                      (1.0 + config_.gate_growth * track.time_since_update);
+        double gate =
+            kGateDistance * (1.0 + kGateGrowth * track.time_since_update);
         for (std::size_t d = 0; d < dets.size(); ++d) {
           double center_dist = core::Distance(track.predicted.Center(),
                                               dets[d]->box.Center());
@@ -96,14 +114,14 @@ TrackingResult AppearanceTracker::Run(
           double appearance_cost =
               model_->NormalizedDistance(track.appearance, det_features[d]);
           double iou_cost = 1.0 - core::Iou(track.predicted, dets[d]->box);
-          cost[t][d] = config_.appearance_weight * appearance_cost +
-                       (1.0 - config_.appearance_weight) * iou_cost;
+          cost[t][d] = kAppearanceWeight * appearance_cost +
+                       (1.0 - kAppearanceWeight) * iou_cost;
         }
       }
       std::vector<int> assignment = SolveAssignment(cost);
       for (std::size_t t = 0; t < active.size(); ++t) {
         int d = assignment[t];
-        if (d >= 0 && cost[t][d] <= config_.max_match_cost) {
+        if (d >= 0 && cost[t][d] <= kMaxMatchCost) {
           det_of_track[t] = d;
           det_used[d] = 1;
         }
@@ -116,7 +134,7 @@ TrackingResult AppearanceTracker::Run(
         active[t].filter.Update(dets[d]->box);
         active[t].boxes.push_back(TrackedBox::FromDetection(*dets[d]));
         BlendAppearance(active[t].appearance, det_features[d],
-                        config_.appearance_momentum);
+                        kAppearanceMomentum);
         active[t].time_since_update = 0;
       } else {
         ++active[t].time_since_update;
@@ -126,7 +144,7 @@ TrackingResult AppearanceTracker::Run(
     std::vector<ActiveTrack> survivors;
     survivors.reserve(active.size());
     for (auto& track : active) {
-      if (track.time_since_update > config_.max_age) {
+      if (track.time_since_update > kMaxAge) {
         finalize(track);
       } else {
         survivors.push_back(std::move(track));

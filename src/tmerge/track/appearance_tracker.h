@@ -8,39 +8,19 @@
 
 namespace tmerge::track {
 
-/// Parameters of the appearance-aided tracker (DeepSORT-like).
-struct AppearanceTrackerConfig {
-  /// Weight of the appearance term in the association cost; the remainder
-  /// weights (1 - IoU).
-  double appearance_weight = 0.6;
-  /// Matches whose combined cost exceeds this are rejected.
-  double max_match_cost = 0.72;
-  /// Spatial gate: a detection farther than this from the track's last
-  /// center (scaled up while coasting) cannot match.
-  double gate_distance = 120.0;
-  /// Per-coasted-frame widening of the gate.
-  double gate_growth = 0.35;
-  /// Exponential moving average factor for the track's appearance.
-  double appearance_momentum = 0.85;
-  std::int32_t max_age = 18;
-  std::int32_t min_hits = 3;
-  double min_confidence = 0.35;
-};
-
 /// DeepSORT-style tracker: Hungarian assignment over a cost that blends
 /// normalized ReID feature distance with IoU, gated spatially. The
-/// appearance term lets it bridge occlusion gaps up to `max_age` frames, so
-/// it fragments less than SORT but still produces polyonymous tracks on
-/// longer occlusions — matching its placement in the paper's Fig. 11.
+/// appearance term lets it bridge occlusion gaps up to 18 frames, so it
+/// fragments less than SORT but still produces polyonymous tracks on
+/// longer occlusions — matching its placement in the paper's Fig. 11. Its
+/// parameters are constants in appearance_tracker.cc.
 ///
 /// The tracker uses the synthetic ReID model for per-detection embeddings
 /// (as the real DeepSORT uses its appearance descriptor); this cost is part
 /// of tracking, not of the merging algorithms the paper meters.
 class AppearanceTracker : public Tracker {
  public:
-  AppearanceTracker(const reid::ReidModel* model,
-                    const AppearanceTrackerConfig& config =
-                        AppearanceTrackerConfig());
+  explicit AppearanceTracker(const reid::ReidModel* model);
 
   TrackingResult Run(const detect::DetectionSequence& detections) override;
 
@@ -48,7 +28,6 @@ class AppearanceTracker : public Tracker {
 
  private:
   const reid::ReidModel* model_;
-  AppearanceTrackerConfig config_;
 };
 
 }  // namespace tmerge::track

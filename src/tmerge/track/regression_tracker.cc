@@ -6,6 +6,21 @@
 namespace tmerge::track {
 namespace {
 
+/// Minimum IoU between a track's last box and a current-frame detection
+/// for the "regression" step to keep the track alive.
+constexpr double kActiveIou = 0.35;
+/// New tracks are spawned only from confident detections...
+constexpr double kSpawnConfidence = 0.5;
+/// ...that do not overlap an active track by more than this (NMS).
+constexpr double kSpawnNmsIou = 0.25;
+/// Frames a track coasts without support before termination. Tracktor
+/// has no long-term re-identification in its base form, so this is short.
+constexpr std::int32_t kMaxAge = 8;
+/// Tracks with fewer boxes than this are dropped as blips.
+constexpr std::int32_t kMinHits = 3;
+/// Detections below this confidence are ignored.
+constexpr double kMinConfidence = 0.3;
+
 struct ActiveTrack {
   TrackId id;
   std::vector<TrackedBox> boxes;
@@ -28,7 +43,7 @@ TrackingResult RegressionTracker::Run(
   TrackId next_id = 1;
 
   auto finalize = [&](ActiveTrack& track) {
-    if (static_cast<std::int32_t>(track.boxes.size()) >= config_.min_hits) {
+    if (static_cast<std::int32_t>(track.boxes.size()) >= kMinHits) {
       Track out;
       out.id = track.id;
       out.boxes = std::move(track.boxes);
@@ -39,7 +54,7 @@ TrackingResult RegressionTracker::Run(
   for (const auto& frame : detections.frames) {
     std::vector<const detect::Detection*> dets;
     for (const auto& detection : frame.detections) {
-      if (detection.confidence >= config_.min_confidence) {
+      if (detection.confidence >= kMinConfidence) {
         dets.push_back(&detection);
       }
     }
@@ -66,7 +81,7 @@ TrackingResult RegressionTracker::Run(
           best_det = static_cast<int>(d);
         }
       }
-      if (best_det >= 0 && best_iou >= config_.active_iou) {
+      if (best_det >= 0 && best_iou >= kActiveIou) {
         det_used[best_det] = 1;
         track.boxes.push_back(TrackedBox::FromDetection(*dets[best_det]));
         track.last_box = dets[best_det]->box;
@@ -79,7 +94,7 @@ TrackingResult RegressionTracker::Run(
     std::vector<ActiveTrack> survivors;
     survivors.reserve(active.size());
     for (auto& track : active) {
-      if (track.time_since_update > config_.max_age) {
+      if (track.time_since_update > kMaxAge) {
         finalize(track);
       } else {
         survivors.push_back(std::move(track));
@@ -89,12 +104,12 @@ TrackingResult RegressionTracker::Run(
 
     // Spawn step: confident detections that do not overlap an active track.
     for (std::size_t d = 0; d < dets.size(); ++d) {
-      if (det_used[d] || dets[d]->confidence < config_.spawn_confidence) {
+      if (det_used[d] || dets[d]->confidence < kSpawnConfidence) {
         continue;
       }
       bool overlaps_active = false;
       for (const auto& track : active) {
-        if (core::Iou(track.last_box, dets[d]->box) > config_.spawn_nms_iou) {
+        if (core::Iou(track.last_box, dets[d]->box) > kSpawnNmsIou) {
           overlaps_active = true;
           break;
         }

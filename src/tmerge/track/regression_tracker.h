@@ -7,22 +7,6 @@
 
 namespace tmerge::track {
 
-/// Parameters of the regression tracker (Tracktor-like).
-struct RegressionTrackerConfig {
-  /// Minimum IoU between a track's last box and a current-frame detection
-  /// for the "regression" step to keep the track alive.
-  double active_iou = 0.35;
-  /// New tracks are spawned only from confident detections...
-  double spawn_confidence = 0.5;
-  /// ...that do not overlap an active track by more than this (NMS).
-  double spawn_nms_iou = 0.25;
-  /// Frames a track coasts without support before termination. Tracktor
-  /// has no long-term re-identification in its base form, so this is short.
-  std::int32_t max_age = 8;
-  std::int32_t min_hits = 3;
-  double min_confidence = 0.3;
-};
-
 /// Tracktor-style tracker (Bergmann et al., ICCV 2019): instead of a
 /// learned motion model it "regresses" each track's previous box onto the
 /// current frame — simulated here by greedily adopting the best-IoU
@@ -30,19 +14,12 @@ struct RegressionTrackerConfig {
 /// object moved little between frames. High spawn thresholds suppress
 /// false tracks; overall it is the most accurate of the three trackers, as
 /// in the paper's evaluation, yet it still fragments on real occlusion
-/// gaps.
+/// gaps. Its parameters are constants in regression_tracker.cc.
 class RegressionTracker : public Tracker {
  public:
-  explicit RegressionTracker(
-      const RegressionTrackerConfig& config = RegressionTrackerConfig())
-      : config_(config) {}
-
   TrackingResult Run(const detect::DetectionSequence& detections) override;
 
   std::string name() const override { return "Tracktor"; }
-
- private:
-  RegressionTrackerConfig config_;
 };
 
 }  // namespace tmerge::track

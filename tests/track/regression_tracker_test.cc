@@ -73,13 +73,12 @@ TEST(RegressionTrackerTest, SlowMotionRequired) {
 }
 
 TEST(RegressionTrackerTest, GapBeyondMaxAgeFragments) {
-  RegressionTrackerConfig config;
-  config.max_age = 8;
+  // A 20-frame gap outlasts the tracker's max_age of 8.
   SequenceBuilder builder(100);
   std::set<std::int32_t> gap;
   for (std::int32_t f = 40; f < 60; ++f) gap.insert(f);
   builder.AddMovingObject(0, 0, 99, 100, 100, 2.0, gap);
-  RegressionTracker tracker(config);
+  RegressionTracker tracker;
   TrackingResult result = tracker.Run(builder.sequence());
   EXPECT_EQ(result.tracks.size(), 2u);
 }
@@ -87,12 +86,10 @@ TEST(RegressionTrackerTest, GapBeyondMaxAgeFragments) {
 TEST(RegressionTrackerTest, ShortGapSurvives) {
   // Within max_age the track's last box is still close enough (slow
   // motion) for the regression step to reclaim the object.
-  RegressionTrackerConfig config;
-  config.max_age = 8;
   SequenceBuilder builder(60);
   std::set<std::int32_t> gap{30, 31, 32};
   builder.AddMovingObject(0, 0, 59, 100, 100, 1.0, gap);
-  RegressionTracker tracker(config);
+  RegressionTracker tracker;
   TrackingResult result = tracker.Run(builder.sequence());
   ASSERT_EQ(result.tracks.size(), 1u);
 }
