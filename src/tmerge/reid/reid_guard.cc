@@ -8,6 +8,16 @@ namespace tmerge::reid {
 
 namespace {
 
+/// Extra attempts after the first failed embed (so 2 means up to 3
+/// attempts per pull).
+constexpr int kMaxRetries = 2;
+
+/// Simulated backoff charged before retry k (1-based) as
+/// kBackoffBaseSeconds * 2^(k-1). Deterministic exponential backoff on
+/// the sim clock; batched retries charge one backoff per retry round (the
+/// whole batch waits together), single pulls one per retry.
+constexpr double kBackoffBaseSeconds = 5e-4;
+
 void CountRetries(std::int64_t count) {
   if (count > 0 && obs::Enabled()) {
     static obs::Counter& retries =
@@ -48,8 +58,8 @@ FeatureView ReidGuard::TryGet(const CropRef& crop) {
       RecordOutcome(true);
       return result.value();
     }
-    if (attempt >= policy_.max_retries) break;
-    meter_.ChargePenalty(policy_.backoff_base_seconds *
+    if (attempt >= kMaxRetries) break;
+    meter_.ChargePenalty(kBackoffBaseSeconds *
                          static_cast<double>(std::int64_t{1} << attempt));
     ++retries_;
     CountRetries(1);
@@ -63,7 +73,7 @@ std::vector<FeatureView> ReidGuard::TryGetBatch(
   if (breaker_open_) return std::vector<FeatureView>(crops.size());
   std::vector<FeatureView> out =
       cache_.TryGetOrEmbedBatch(crops, model_, meter_, 0);
-  for (int attempt = 1; attempt <= policy_.max_retries; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxRetries; ++attempt) {
     std::vector<std::size_t> failed;
     std::vector<CropRef> retry;
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -74,7 +84,7 @@ std::vector<FeatureView> ReidGuard::TryGetBatch(
     }
     if (failed.empty()) break;
     // One backoff per retry round: the whole retry batch waits together.
-    meter_.ChargePenalty(policy_.backoff_base_seconds *
+    meter_.ChargePenalty(kBackoffBaseSeconds *
                          static_cast<double>(std::int64_t{1}
                                              << (attempt - 1)));
     retries_ += static_cast<std::int64_t>(retry.size());
