@@ -23,13 +23,6 @@ struct EmbedSchedulerConfig {
   /// queued work — and the private result slots backing it — stays bounded
   /// no matter how many crops one group requests.
   std::int32_t max_inflight_batches = 4;
-  /// Batches smaller than this run on the single-inference path instead
-  /// (a batch launch only pays off past the cost model's break-even
-  /// point). Zero — the default — derives the break-even size from the
-  /// CostModel: ceil(batch_fixed / (single - batch_item)), clamped to at
-  /// least 1; when a batched crop is not cheaper than a single one the
-  /// break-even size is unreachable and every crop goes single.
-  std::int32_t min_batch_size = 0;
 };
 
 /// Counters of one EmbedAll group and, accumulated, of the scheduler's
@@ -128,8 +121,12 @@ class EmbedScheduler {
 
   const EmbedSchedulerConfig& config() const { return config_; }
 
-  /// The break-even batch size for `model`: batches below it are cheaper
-  /// as singles. Exposed for tests and the planning docs in DESIGN.md §14.
+  /// The break-even batch size for `model`: batches below it run on the
+  /// single-inference path, because a batch launch only pays off past it.
+  /// ceil(batch_fixed / (single - batch_item)), clamped to at least 1;
+  /// unreachable (INT32_MAX) when a batched crop is not cheaper than a
+  /// single one, so every crop goes single. Exposed for tests and the
+  /// planning docs in DESIGN.md §14.
   static std::int32_t BreakEvenBatchSize(const CostModel& model);
 
  private:

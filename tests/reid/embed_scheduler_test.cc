@@ -215,16 +215,18 @@ TEST(EmbedSchedulerTest, MaxBatchSizeSplitsThePlan) {
   ExpectConservation(stats);
 }
 
-TEST(EmbedSchedulerTest, MinBatchSizeForcesSinglePath) {
+TEST(EmbedSchedulerTest, BatchedCropNoCheaperForcesSinglePath) {
   testing::MergeScenario scenario;
   std::vector<CropRef> crops = ScenarioCrops(scenario);
   const std::int64_t unique = UniqueCount(crops);
 
-  EmbedSchedulerConfig config;
-  config.min_batch_size = std::numeric_limits<std::int32_t>::max();
-  EmbedScheduler scheduler{config, nullptr};
+  // A batched crop that costs as much as a single one never breaks even,
+  // so every chunk takes the single path.
+  CostModel no_batch_gain;
+  no_batch_gain.batch_item_seconds = no_batch_gain.single_inference_seconds;
+  EmbedScheduler scheduler{EmbedSchedulerConfig{}, nullptr};
   FeatureCache cache;
-  InferenceMeter meter{CostModel{}};
+  InferenceMeter meter{no_batch_gain};
   EmbedSchedulerStats stats =
       scheduler.EmbedAll(crops, cache, scenario.model(), meter);
 
