@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Check the paper benches' deterministic output against committed goldens.
 
-bench_fig05_rec_fps, bench_tab02_fps_at_rec, bench_fig07_tau_sweep and
-bench_fig08_ablation are seeded end to end: every REC, simulated FPS and
-second, and every inference, distance and cache-hit count they print is
-fixed, and none of it depends on the thread count. The one exception is
+bench_fig05_rec_fps, bench_tab02_fps_at_rec, bench_fig07_tau_sweep,
+bench_fig08_ablation, bench_fig11_poly_rate and bench_fig12_id_metrics are
+seeded end to end: every REC, simulated FPS and second, every inference,
+distance and cache-hit count, and every rate and identity metric they print
+is fixed, and none of it depends on the thread count. The one exception is
 fig07's ``wall-seconds`` column, which is masked here rather than pinned.
-fig08 is the only one that runs TMerge with BetaInit or ULB switched off.
+fig08 is the only one that runs TMerge with BetaInit or ULB switched off,
+fig11 the only one that runs the DeepSORT-like tracker, and fig12 the only
+one that computes identity metrics (IDF1, IDP, IDR, ID switches).
 
 This tool runs each bench with ``TMERGE_OBS=0 TMERGE_NUM_THREADS=4``,
 masks the wall-clock columns and compares stdout with
@@ -18,7 +21,8 @@ checkout:
 
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build --target bench_fig05_rec_fps \\
-        bench_tab02_fps_at_rec bench_fig07_tau_sweep bench_fig08_ablation
+        bench_tab02_fps_at_rec bench_fig07_tau_sweep bench_fig08_ablation \\
+        bench_fig11_poly_rate bench_fig12_id_metrics
     python3 tools/paper_goldens.py            # check
     python3 tools/paper_goldens.py --update   # re-pin after a deliberate change
 """
@@ -33,7 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, "build")
 GOLDENS = os.path.join(ROOT, "bench", "goldens")
 BENCHES = ("fig05_rec_fps", "tab02_fps_at_rec", "fig07_tau_sweep",
-           "fig08_ablation")
+           "fig08_ablation", "fig11_poly_rate", "fig12_id_metrics")
 # The one table column that holds wall-clock time (fig07's). It must be
 # its table's last column: the printer pads every column to its widest
 # cell, so a masked column anywhere else would shift the ones after it.
