@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot operations underneath the
-// selectors: Beta sampling, Hungarian assignment, Kalman filtering,
+// selectors: Beta sampling, Hungarian assignment, Kalman filtering, one
+// SORT run over a KITTI-like camera,
 // synthetic ReID embedding + distance, one TMerge Thompson round — plus
 // the slab/kernel hot path this repo optimizes: distance kernels (scalar
 // reference vs unrolled), one BL track-pair sweep (seed-style
@@ -31,15 +32,18 @@
 #include "tmerge/core/beta.h"
 #include "tmerge/core/rng.h"
 #include "tmerge/core/status.h"
+#include "tmerge/detect/detection_simulator.h"
 #include "tmerge/merge/pair_store.h"
 #include "tmerge/merge/tmerge.h"
 #include "tmerge/reid/distance_kernels.h"
 #include "tmerge/reid/feature_cache.h"
 #include "tmerge/reid/feature_store.h"
 #include "tmerge/reid/synthetic_reid_model.h"
+#include "tmerge/sim/dataset.h"
 #include "tmerge/sim/video_generator.h"
 #include "tmerge/track/hungarian.h"
 #include "tmerge/track/kalman_filter.h"
+#include "tmerge/track/sort_tracker.h"
 
 namespace tmerge {
 namespace {
@@ -112,6 +116,22 @@ void BM_KalmanPredictUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KalmanPredictUpdate);
+
+void BM_SortTrackerRun(benchmark::State& state) {
+  // One KITTI-like camera as perfbench's `stream` workload feeds it: the
+  // profile's defaults at 3000 frames, default detector, fixed seeds.
+  sim::VideoConfig config = sim::ProfileConfig(sim::DatasetProfile::kKittiLike);
+  config.num_frames = 3000;
+  const sim::SyntheticVideo video = sim::GenerateVideo(config, 8);
+  const detect::DetectionSequence detections =
+      detect::SimulateDetections(video, detect::DetectorConfig(), 9);
+  track::SortTracker tracker;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tracker.Run(detections));
+  }
+  state.SetItemsProcessed(state.iterations() * detections.num_frames);
+}
+BENCHMARK(BM_SortTrackerRun);
 
 void BM_ReidEmbed(benchmark::State& state) {
   sim::VideoConfig config;
