@@ -1,5 +1,6 @@
 #include "tmerge/track/hungarian.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "tmerge/core/status.h"
@@ -29,12 +30,15 @@ std::vector<int> SolveAssignment(const std::vector<std::vector<double>>& cost) {
   std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
   std::vector<int> match(m + 1, 0);  // match[c] = row assigned to column c
   std::vector<int> way(m + 1, 0);
+  // Per-row search state, reset for every row.
+  std::vector<double> minv(m + 1);
+  std::vector<char> used(m + 1);
 
   for (int i = 1; i <= n; ++i) {
     match[0] = i;
     int j0 = 0;
-    std::vector<double> minv(m + 1, kInf);
-    std::vector<char> used(m + 1, false);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), false);
     do {
       used[j0] = true;
       int i0 = match[j0];

@@ -16,8 +16,11 @@ namespace tmerge::track {
 /// exact formulation of Bewley et al.'s SORT tracker, which the paper uses
 /// as one of its evaluated trackers.
 ///
-/// A filter is just its state and covariance, held inline; the transition,
-/// measurement and noise matrices are constants shared by every filter.
+/// A filter is just its state and covariance, held inline. Predict and
+/// Update are written over the nonzero pattern of the transition F (the
+/// identity plus position += velocity) and the measurement H (the first
+/// four states), with the bits of the dense matrix products they replace
+/// (kalman_filter.cc says how).
 class KalmanBoxFilter {
  public:
   /// Initializes the filter from the first observed box.
@@ -33,7 +36,7 @@ class KalmanBoxFilter {
   core::BoundingBox StateBox() const;
 
  private:
-  std::array<std::array<double, 1>, 7> x_;  // 7x1 state.
+  std::array<double, 7> x_;                 // State.
   std::array<std::array<double, 7>, 7> p_;  // 7x7 covariance, row-major.
 };
 
