@@ -204,7 +204,10 @@ void StreamService::DrainCameraLocked(CameraState& camera,
       TMERGE_TRACE_SCOPE("stream.frame.ingest", now_seconds,
                          {"camera", camera.camera_id},
                          {"frame", frame.frame});
-      camera.tracker.Observe(frame);
+      {
+        TMERGE_SPAN("stream.track.seconds");
+        camera.tracker.Observe(frame);
+      }
       std::vector<merge::WindowPairs> closed = camera.windower.Advance(
           camera.tracker.result().tracks, camera.tracker.frames_observed(),
           camera.tracker.min_active_first_frame());

@@ -9,6 +9,7 @@
 #include "tmerge/stream/stream_service.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -277,6 +278,29 @@ TEST_F(StreamTraceTest, StallPostMortemSkippedWhenNotRecording) {
   ASSERT_GT(result.director.stall_flushes, 0);
   std::ifstream file(path);
   EXPECT_FALSE(file.good()) << "post-mortem written with tracing off";
+}
+
+// stream.track.seconds times the tracker inside ingest, the streaming
+// twin of batch's prepare.track.seconds: one sample per observed frame.
+TEST_F(StreamTraceTest, TrackSpanTimesEveryObservedFrame) {
+  constexpr std::int32_t kCameras = 2;
+  constexpr std::int32_t kFrames = 60;
+  obs::SetEnabled(true);
+  merge::TMergeSelector selector;
+  StreamInputs in = BuildInputs(kCameras, kFrames);
+  auto track_spans = [] {
+    const obs::RegistrySnapshot snapshot = obs::DefaultRegistry().Snapshot();
+    const auto it = snapshot.histograms.find("stream.track.seconds");
+    return it == snapshot.histograms.end() ? std::int64_t{0}
+                                           : it->second.count;
+  };
+  const std::int64_t before = track_spans();
+  StreamServiceConfig config;
+  config.num_threads = 1;
+  RunStream(in, selector, config);
+  const std::int64_t after = track_spans();
+  obs::SetEnabled(false);
+  EXPECT_EQ(after - before, std::int64_t{kCameras} * kFrames);
 }
 
 TEST_F(StreamTraceTest, PerCameraMetricsRegisterWithLabels) {
