@@ -41,22 +41,26 @@ TrackGtAssignment MatchTracksToGt(const sim::SyntheticVideo& video,
   }
 
   // Per-frame Hungarian matching; accumulate per-(track, gt) match counts.
+  // The cost rows and the solver's buffers are reused across frames.
   constexpr double kInfCost = 1e9;
   std::vector<std::unordered_map<std::size_t, std::int32_t>> votes(
       result.tracks.size());
+  std::vector<std::vector<double>> cost;
+  track::AssignmentWorkspace workspace;
   for (std::int32_t frame = 0; frame < video.num_frames; ++frame) {
     const auto& gts = gt_by_frame[frame];
     const auto& preds = pred_by_frame[frame];
     if (gts.empty() || preds.empty()) continue;
-    std::vector<std::vector<double>> cost(
-        preds.size(), std::vector<double>(gts.size(), kInfCost));
+    cost.resize(preds.size());
     for (std::size_t p = 0; p < preds.size(); ++p) {
+      cost[p].assign(gts.size(), kInfCost);
       for (std::size_t g = 0; g < gts.size(); ++g) {
         double iou = core::Iou(*preds[p].box, *gts[g].box);
         if (iou >= config.iou_threshold) cost[p][g] = 1.0 - iou;
       }
     }
-    std::vector<int> assignment = track::SolveAssignment(cost);
+    const std::vector<int>& assignment =
+        track::SolveAssignment(cost, workspace);
     for (std::size_t p = 0; p < preds.size(); ++p) {
       int g = assignment[p];
       if (g >= 0 && cost[p][g] < kInfCost) {

@@ -2,19 +2,35 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "tmerge/core/status.h"
 
 namespace tmerge::track {
 
 std::vector<int> SolveAssignment(const std::vector<std::vector<double>>& cost) {
+  AssignmentWorkspace workspace;
+  SolveAssignment(cost, workspace);
+  return std::move(workspace.assignment);
+}
+
+const std::vector<int>& SolveAssignment(
+    const std::vector<std::vector<double>>& cost,
+    AssignmentWorkspace& workspace) {
+  std::vector<int>& result = workspace.assignment;
   const int rows = static_cast<int>(cost.size());
-  if (rows == 0) return {};
+  if (rows == 0) {
+    result.clear();
+    return result;
+  }
   const int cols = static_cast<int>(cost[0].size());
   for (const auto& row : cost) {
     TMERGE_CHECK(static_cast<int>(row.size()) == cols);
   }
-  if (cols == 0) return std::vector<int>(rows, -1);
+  if (cols == 0) {
+    result.assign(rows, -1);
+    return result;
+  }
 
   // The shortest-augmenting-path formulation needs rows <= cols; transpose
   // if necessary and invert the result at the end.
@@ -27,12 +43,19 @@ std::vector<int> SolveAssignment(const std::vector<std::vector<double>>& cost) {
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // 1-indexed potentials/matching, standard formulation.
-  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
-  std::vector<int> match(m + 1, 0);  // match[c] = row assigned to column c
-  std::vector<int> way(m + 1, 0);
+  std::vector<double>& u = workspace.u;
+  std::vector<double>& v = workspace.v;
+  u.assign(n + 1, 0.0);
+  v.assign(m + 1, 0.0);
+  std::vector<int>& match = workspace.match;  // match[c] = row of column c
+  std::vector<int>& way = workspace.way;
+  match.assign(m + 1, 0);
+  way.assign(m + 1, 0);
   // Per-row search state, reset for every row.
-  std::vector<double> minv(m + 1);
-  std::vector<char> used(m + 1);
+  std::vector<double>& minv = workspace.minv;
+  std::vector<char>& used = workspace.used;
+  minv.resize(m + 1);
+  used.resize(m + 1);
 
   for (int i = 1; i <= n; ++i) {
     match[0] = i;
@@ -74,7 +97,7 @@ std::vector<int> SolveAssignment(const std::vector<std::vector<double>>& cost) {
     } while (j0 != 0);
   }
 
-  std::vector<int> result(rows, -1);
+  result.assign(rows, -1);
   for (int j = 1; j <= m; ++j) {
     if (match[j] == 0) continue;
     int r = match[j] - 1;

@@ -15,6 +15,26 @@ namespace tmerge::track {
 /// family), exact.
 std::vector<int> SolveAssignment(const std::vector<std::vector<double>>& cost);
 
+/// SolveAssignment's buffers, owned by a caller that solves one problem per
+/// frame: they grow to the largest problem solved so far, after which a
+/// solve allocates nothing.
+struct AssignmentWorkspace {
+  std::vector<double> u;
+  std::vector<double> v;
+  std::vector<double> minv;
+  std::vector<int> match;
+  std::vector<int> way;
+  std::vector<char> used;
+  /// The last solution, in SolveAssignment's format.
+  std::vector<int> assignment;
+};
+
+/// SolveAssignment into `workspace`, with the same result bit for bit.
+/// Returns workspace.assignment, which the next solve overwrites.
+const std::vector<int>& SolveAssignment(
+    const std::vector<std::vector<double>>& cost,
+    AssignmentWorkspace& workspace);
+
 /// Total cost of an assignment returned by SolveAssignment (unassigned rows
 /// contribute nothing).
 double AssignmentCost(const std::vector<std::vector<double>>& cost,

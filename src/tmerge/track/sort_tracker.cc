@@ -53,7 +53,7 @@ void StreamingSortTracker::Observe(const detect::DetectionFrame& frame) {
         row[d] = 1.0 - core::Iou(active_[t].predicted, dets_[d]->box);
       }
     }
-    const std::vector<int> assignment = SolveAssignment(cost_);
+    const std::vector<int>& assignment = SolveAssignment(cost_, assignment_);
     for (std::size_t t = 0; t < active_.size(); ++t) {
       int d = assignment[t];
       if (d >= 0 && cost_[t][d] <= 1.0 - config_.iou_threshold) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "tmerge/track/hungarian.h"
 #include "tmerge/track/kalman_filter.h"
 #include "tmerge/track/track.h"
 
@@ -87,12 +88,13 @@ class StreamingSortTracker {
   std::vector<ActiveTrack> active_;
   // Per-frame scratch, kept so that Observe reuses its storage: the
   // confident detections (empty between calls), each track's matched
-  // detection (-1 for none), which detections were matched, and the
-  // 1 - IoU cost rows.
+  // detection (-1 for none), which detections were matched, the 1 - IoU
+  // cost rows and the assignment solver's buffers.
   std::vector<const detect::Detection*> dets_;
   std::vector<int> det_of_track_;
   std::vector<char> det_used_;
   std::vector<std::vector<double>> cost_;
+  AssignmentWorkspace assignment_;
   TrackId next_id_ = 1;
   std::int32_t frames_observed_ = 0;
   bool finished_ = false;

@@ -102,6 +102,26 @@ TEST(HungarianDeathTest, RaggedMatrixAborts) {
   EXPECT_DEATH(SolveAssignment(ragged), "TMERGE_CHECK");
 }
 
+// One workspace solving a run of problems that grow, shrink and change
+// shape (empty and column-less ones too) returns what a fresh solve
+// returns. Integer costs make ties common, where stale buffers would show.
+TEST(HungarianTest, WorkspaceReuseMatchesFreshSolves) {
+  core::Rng rng(77);
+  AssignmentWorkspace workspace;
+  for (int trial = 0; trial < 500; ++trial) {
+    const int rows = static_cast<int>(rng.Index(9));
+    const int cols = static_cast<int>(rng.Index(9));
+    std::vector<std::vector<double>> cost(rows, std::vector<double>(cols));
+    for (auto& row : cost) {
+      for (double& cell : row) cell = static_cast<double>(rng.Index(4));
+    }
+    const std::vector<int> fresh = SolveAssignment(cost);
+    const std::vector<int>& reused = SolveAssignment(cost, workspace);
+    EXPECT_EQ(reused, fresh) << rows << "x" << cols << " trial " << trial;
+    EXPECT_EQ(&reused, &workspace.assignment);
+  }
+}
+
 // Property: matches brute force on random instances of all shapes.
 struct ShapeParam {
   int rows;
