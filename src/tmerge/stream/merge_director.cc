@@ -16,11 +16,13 @@ obs::Counter& DirectorCounter(const char* name) {
 
 }  // namespace
 
-MergeDirector::MergeDirector(const MergeDirectorConfig& config)
-    : config_(config) {
+MergeDirector::MergeDirector(const MergeDirectorConfig& config,
+                             std::int32_t merge_workers)
+    : config_(config), merge_workers_(merge_workers) {
   TMERGE_CHECK(config_.max_intermediate_pairs > 0);
   TMERGE_CHECK(config_.min_pairs_per_merge_job > 0);
   TMERGE_CHECK(config_.max_inflight_merge_jobs > 0);
+  TMERGE_CHECK(merge_workers_ > 0);
 }
 
 void MergeDirector::NoteIngestDeferred(double now_seconds) {
@@ -74,13 +76,16 @@ bool MergeDirector::CanScheduleMergeJob(std::int64_t pending_pairs) {
   if (inflight_merge_jobs_ >= config_.max_inflight_merge_jobs) {
     deferred = true;
   } else if (!(stream_completed_ || stall_flush_)) {
-    if (pending_pairs < config_.min_pairs_per_merge_job) {
+    if (pending_pairs < config_.min_pairs_per_merge_job &&
+        inflight_merge_jobs_ >= merge_workers_) {
+      // Every worker is busy: a small batch waits and grows meanwhile.
       deferred = true;
     } else if (TMERGE_FAILPOINT("stream.director.defer", ticket)) {
       // Injected scheduler hiccup: a job that was admissible is deferred
       // anyway, exercising the retry/backpressure path. Never consulted in
-      // force-flush mode — the flush is the liveness guarantee that drains
-      // the stream, so even a 100%-probability spec cannot wedge Finish.
+      // force-flush mode — the stall watchdog is the escape path from
+      // these deferrals, so even a 100%-probability spec cannot wedge the
+      // stream or Finish.
       deferred = true;
     }
   }

@@ -4,7 +4,9 @@
 // the enqueue/dequeue/submit instants; with tracing off vs on, the
 // SelectionResults must stay bit-identical (observation must never change
 // what the system computes); and the stall watchdog must write its
-// Chrome-trace post-mortem exactly when configured and recording.
+// Chrome-trace post-mortem exactly when configured and recording (the
+// tests provoke the stall with the "stream.director.defer" failpoint: a
+// healthy stream never stalls).
 
 #include "tmerge/stream/stream_service.h"
 
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "tmerge/detect/detection_simulator.h"
+#include "tmerge/fault/registry.h"
 #include "tmerge/merge/pipeline.h"
 #include "tmerge/merge/tmerge.h"
 #include "tmerge/obs/metrics.h"
@@ -125,7 +128,12 @@ const obs::TraceEvent* FirstEvent(const obs::TraceSnapshot& snapshot,
 
 class StreamTraceTest : public ::testing::Test {
  protected:
-  void TearDown() override { obs::TraceRecorder::Default().Stop(); }
+  void SetUp() override { fault::GlobalRegistry().Reset(); }
+  void TearDown() override {
+    obs::TraceRecorder::Default().Stop();
+    fault::GlobalRegistry().Reset();
+    fault::GlobalRegistry().SetSeed(0);
+  }
 };
 
 TEST_F(StreamTraceTest, TraceCapturesStreamingPathEndToEnd) {
@@ -220,15 +228,15 @@ TEST_F(StreamTraceTest, TracingOnAndOffProduceBitIdenticalResults) {
   EXPECT_EQ(on.simulated_seconds, off.simulated_seconds);
 }
 
-/// Budgets far below one window's pair count: ingest blocks, the stall
-/// watchdog force-flushes, and — because a post-mortem path is configured
-/// and the recorder is recording — the service writes the flight dump.
+/// Budgets far below one window's pair count, so ingest blocks as soon as
+/// a window is pending. The director is work-conserving, so budgets alone
+/// no longer stall a stream: ArmDeferFailpoint defers every merge job
+/// outside force-flush, ingest stays blocked with nothing in flight, and
+/// the stall watchdog's flush is the only way on. With a post-mortem path
+/// configured and the recorder recording, the service writes the dump.
 StreamServiceConfig StallingConfig() {
   StreamServiceConfig config;
   config.num_threads = 2;
-  // Any pending backlog blocks further ingest, and the min-batch
-  // threshold is unreachable mid-stream — only a force-flush can drain,
-  // so the stall watchdog must fire for the stream to make progress.
   config.director.max_intermediate_pairs = 8;
   config.director.min_pairs_per_merge_job = 1000;
   config.director.max_inflight_merge_jobs = 1;
@@ -238,10 +246,17 @@ StreamServiceConfig StallingConfig() {
   return config;
 }
 
+void ArmDeferFailpoint() {
+  fault::GlobalRegistry().SetSeed(11);
+  ASSERT_TRUE(
+      fault::GlobalRegistry().ApplySpec("stream.director.defer=1.0").ok());
+}
+
 TEST_F(StreamTraceTest, StallWatchdogWritesPostMortemWhenTracing) {
   const std::string path =
       testing::TempDir() + "/tmerge_stream_stall_trace.json";
   std::remove(path.c_str());
+  ArmDeferFailpoint();
   obs::TraceRecorder::Default().Start();
   merge::TMergeSelector selector;
   // Bench-scale window geometry: 120-frame windows reliably close with a
@@ -254,7 +269,7 @@ TEST_F(StreamTraceTest, StallWatchdogWritesPostMortemWhenTracing) {
   obs::TraceRecorder::Default().Stop();
 
   ASSERT_GT(result.director.stall_flushes, 0)
-      << "budgets no longer provoke the stall watchdog; tighten them";
+      << "the defer failpoint no longer provokes the stall watchdog";
   std::ifstream file(path);
   ASSERT_TRUE(file.good()) << "post-mortem not written to " << path;
   std::stringstream content;
@@ -268,6 +283,7 @@ TEST_F(StreamTraceTest, StallPostMortemSkippedWhenNotRecording) {
   const std::string path =
       testing::TempDir() + "/tmerge_stream_stall_trace_off.json";
   std::remove(path.c_str());
+  ArmDeferFailpoint();
   obs::TraceRecorder::Default().Stop();
   merge::TMergeSelector selector;
   StreamInputs in =
